@@ -25,11 +25,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _measurement_count(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= 15:
+        raise argparse.ArgumentTypeError(f"m must lie in 1..15, got {value}")
+    return value
+
+
+def _open_unit(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {value}")
+    return value
+
+
+def _list_of(item):
+    """Parser of comma-separated values, each checked by `item`."""
+
+    def parse(text: str) -> list:
+        try:
+            return [item(part) for part in text.split(",") if part]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
 
 
 def _fraction_triple(text: str) -> tuple[float, ...]:
@@ -99,8 +118,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         ds, args.split, data.derived_seed(args.seed, data.STREAM_SPLIT)
     )
     architecture = "nonlinear_full" if args.arch == "full" else "linear_code"
-    if architecture == "linear_code" and args.m is None:
-        raise UsageError("--m is required when --arch linear")
     model = nn.model_new(
         architecture,
         data.derived_seed(args.seed, data.STREAM_INIT),
@@ -200,10 +217,6 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-class UsageError(Exception):
-    pass
-
-
 def _add_train_flags(parser: argparse.ArgumentParser, epochs_default: int) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=epochs_default)
     parser.add_argument("--batch", type=_positive_int, default=256)
@@ -230,19 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train a classifier and report on the test split")
     train.add_argument("--data", required=True)
     train.add_argument("--arch", choices=("full", "linear"), default="full")
-    train.add_argument("--m", type=int, default=None)
-    train.add_argument("--hidden", type=_int_list, default=None)
+    train.add_argument("--m", type=_measurement_count, default=None)
+    train.add_argument("--hidden", type=_list_of(_positive_int), default=None)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--split", type=_fraction_triple, default=(0.8, 0.1, 0.1))
-    train.add_argument("--threshold", type=float, default=0.5)
+    train.add_argument("--threshold", type=_open_unit, default=0.5)
     _add_train_flags(train, epochs_default=120)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
 
     sweep = sub.add_parser("sweep", help="accuracy and precision-1 recall across m")
-    sweep.add_argument("--m", type=_int_list, required=True)
+    sweep.add_argument("--m", type=_list_of(_measurement_count), required=True)
     sweep.add_argument("--symmetry", choices=data.SYMMETRY_MODES, default="none")
-    sweep.add_argument("--sizes", type=_int_list, default=[50_000, 10_000, 20_000])
+    sweep.add_argument("--sizes", type=_list_of(_positive_int), default=[50_000, 10_000, 20_000])
     sweep.add_argument("--seeds", type=_positive_int, default=3)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--rank", type=int, choices=(1, 2, 3, 4), default=4)
@@ -265,10 +278,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--sizes needs three comma-separated counts")
     if args.command == "sweep" and not args.m:
         parser.error("--m needs at least one value")
+    if args.command == "train" and args.arch == "linear" and args.m is None:
+        parser.error("--m is required when --arch linear")
     try:
         return args.func(args)
-    except UsageError as exc:
-        parser.error(str(exc))
     except (
         ValueError,
         OSError,

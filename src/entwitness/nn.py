@@ -9,7 +9,7 @@ linear measurements. Everything is plain numpy and deterministic in the seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .data import _write_atomic
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
+ARCHITECTURES = ("nonlinear_full", "linear_code", "custom")
 
 SCORE_CLAMP = 1e-12
 
@@ -73,18 +74,6 @@ class MlpModel:
             elif b is not None:
                 raise ValueError(f"layer {i}: bias present but has_bias is false")
             fan_in = spec.width
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_specs=list(self.layer_specs),
-            weights=[w.copy() for w in self.weights],
-            biases=[None if b is None else b.copy() for b in self.biases],
-            input_width=self.input_width,
-            architecture=self.architecture,
-            m=self.m,
-            training_config=self.training_config,
-            best_epoch=self.best_epoch,
-        )
 
 
 class Gradients(NamedTuple):
@@ -191,33 +180,43 @@ def model_new(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    """Logistic function of z, in place; each sign takes the branch that cannot overflow."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    neg = ~pos
+    ez = np.exp(z[neg])
+    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    z[neg] = ez / (1.0 + ez)
+    return z
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "linear":
-        return z
+def _layer(
+    a: np.ndarray, w: np.ndarray, b: np.ndarray | None, activation: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One layer's output for input rows a, written into `out` when given."""
+    z = np.matmul(a, w.T, out=out)
+    if b is not None:
+        z += b
     if activation == "relu":
-        return np.maximum(z, 0.0)
-    return _sigmoid(z)
+        np.maximum(z, 0.0, out=z)
+    elif activation == "sigmoid":
+        _sigmoid(z)
+    return z
 
 
-def _forward_trace(model: MlpModel, batch: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer, input first; index i+1 is the output of layer i."""
-    acts = [batch]
-    a = batch
-    for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
-        z = a @ w.T
-        if b is not None:
-            z = z + b
-        a = _activate(z, spec.activation)
-        acts.append(a)
-    return acts
+def _parameters(model: MlpModel) -> list[np.ndarray]:
+    """Weights and biases in flat-buffer order: w0, b0, w1, b1, ..., absent biases skipped."""
+    return [p for w, b in zip(model.weights, model.biases) for p in (w, b) if p is not None]
+
+
+def _views(model: MlpModel, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """Per-layer weight and bias views into `flat`, shaped like the model's own."""
+    weights, biases, offset = [], [], 0
+    for w, b in zip(model.weights, model.biases):
+        weights.append(flat[offset : offset + w.size].reshape(w.shape))
+        offset += w.size
+        biases.append(None if b is None else flat[offset : offset + b.size])
+        offset += 0 if b is None else b.size
+    return weights, biases
 
 
 def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -231,8 +230,10 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Entanglement scores in (0, 1), one per feature row."""
-    batch = _check_batch(model, batch)
-    return _forward_trace(model, batch)[-1][:, 0]
+    a = _check_batch(model, batch)
+    for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
+        a = _layer(a, w, b, spec.activation)
+    return a[:, 0]
 
 
 def code_values(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -250,71 +251,116 @@ def code_weights(model: MlpModel) -> np.ndarray:
     return model.weights[0].copy()
 
 
+class Workspace:
+    """Buffers that one model's training steps reuse instead of allocating.
+
+    `grad` is one flat gradient array laid out like the flat parameter buffer,
+    and `grads` views it per layer. Activation and delta buffers are made once
+    per batch row count.
+    """
+
+    def __init__(self, model: MlpModel):
+        self.grad = np.empty(sum(p.size for p in _parameters(model)))
+        self.grads = Gradients(*_views(model, self.grad))
+        self._widths = [spec.width for spec in model.layer_specs]
+        self._buffers: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+
+    def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (activations, deltas), each of shape (rows, layer width)."""
+        if rows not in self._buffers:
+            self._buffers[rows] = tuple(
+                [np.empty((rows, width)) for width in self._widths] for _ in range(2)
+            )
+        return self._buffers[rows]
+
+
 def loss_and_gradients(
-    model: MlpModel, batch: np.ndarray, labels: np.ndarray
+    model: MlpModel, batch: np.ndarray, labels: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[float, Gradients]:
-    """Mean binary cross-entropy and its reverse-mode gradients."""
+    """Mean binary cross-entropy and its reverse-mode gradients.
+
+    With a workspace the gradients are views into it, overwritten by the next
+    call that uses it; without one they belong to the caller.
+    """
     batch = _check_batch(model, batch)
     y = np.asarray(labels, dtype=float)
     if y.shape != (batch.shape[0],):
         raise ValueError(f"labels shape {y.shape} does not match batch {batch.shape}")
+    if workspace is None:
+        workspace = Workspace(model)
+    outputs, deltas = workspace.buffers(batch.shape[0])
 
-    acts = _forward_trace(model, batch)
-    scores = acts[-1][:, 0]
+    a = batch
+    for spec, w, b, out in zip(model.layer_specs, model.weights, model.biases, outputs):
+        a = _layer(a, w, b, spec.activation, out)
+    acts = [batch, *outputs]  # index i+1 is the output of layer i
+    scores = a[:, 0]
     clamped = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     n = batch.shape[0]
     loss = float(-np.mean(y * np.log(clamped) + (1.0 - y) * np.log1p(-clamped)))
 
     # Fused sigmoid + cross-entropy derivative at the output.
-    delta = ((scores - y) / n)[:, None]
-    grads_w: list[np.ndarray] = [None] * len(model.weights)
-    grads_b: list[np.ndarray | None] = [None] * len(model.weights)
+    delta = deltas[-1]
+    np.subtract(scores, y, out=delta[:, 0])
+    delta /= n
+    grads = workspace.grads
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ acts[i]
-        grads_b[i] = delta.sum(axis=0) if model.biases[i] is not None else None
+        np.matmul(delta.T, acts[i], out=grads.weights[i])
+        if grads.biases[i] is not None:
+            np.sum(delta, axis=0, out=grads.biases[i])
         if i == 0:
             break
-        delta = delta @ model.weights[i]
+        below = deltas[i - 1]
+        if delta.shape[1] == 1:
+            np.multiply(delta, model.weights[i], out=below)  # a k = 1 product, exactly
+        else:
+            np.matmul(delta, model.weights[i], out=below)
+        # acts[i] is not read again, so it holds the activation's derivative.
+        act = acts[i]
         activation = model.layer_specs[i - 1].activation
         if activation == "relu":
-            delta = delta * (acts[i] > 0.0)
+            below *= np.greater(act, 0.0, out=act)
         elif activation == "sigmoid":
-            delta = delta * acts[i] * (1.0 - acts[i])
-    return loss, Gradients(grads_w, grads_b)
+            below *= act
+            below *= np.subtract(1.0, act, out=act)
+        delta = below
+    return loss, grads
 
 
 class _Optimizer:
-    def __init__(self, model: MlpModel, config: TrainConfig):
+    """Adam or SGD on one flat parameter array, updated in place."""
+
+    def __init__(self, size: int, config: TrainConfig):
         self.config = config
         self.step_count = 0
         if config.optimizer == "adam":
-            self.m_w = [np.zeros_like(w) for w in model.weights]
-            self.v_w = [np.zeros_like(w) for w in model.weights]
-            self.m_b = [None if b is None else np.zeros_like(b) for b in model.biases]
-            self.v_b = [None if b is None else np.zeros_like(b) for b in model.biases]
+            self.m = np.zeros(size)
+            self.v = np.zeros(size)
+            self.scratch = np.empty(size)
 
-    def step(self, model: MlpModel, grads: Gradients) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One update of params from grad, which is left holding scratch values."""
         cfg = self.config
         if cfg.optimizer == "sgd":
-            for w, gw in zip(model.weights, grads.weights):
-                w -= cfg.learning_rate * gw
-            for b, gb in zip(model.biases, grads.biases):
-                if b is not None:
-                    b -= cfg.learning_rate * gb
+            params -= np.multiply(cfg.learning_rate, grad, out=grad)
             return
         self.step_count += 1
         t = self.step_count
         scale = np.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
-        for i, (w, gw) in enumerate(zip(model.weights, grads.weights)):
-            self.m_w[i] = cfg.beta1 * self.m_w[i] + (1.0 - cfg.beta1) * gw
-            self.v_w[i] = cfg.beta2 * self.v_w[i] + (1.0 - cfg.beta2) * gw * gw
-            w -= cfg.learning_rate * scale * self.m_w[i] / (np.sqrt(self.v_w[i]) + cfg.eps)
-        for i, (b, gb) in enumerate(zip(model.biases, grads.biases)):
-            if b is None:
-                continue
-            self.m_b[i] = cfg.beta1 * self.m_b[i] + (1.0 - cfg.beta1) * gb
-            self.v_b[i] = cfg.beta2 * self.v_b[i] + (1.0 - cfg.beta2) * gb * gb
-            b -= cfg.learning_rate * scale * self.m_b[i] / (np.sqrt(self.v_b[i]) + cfg.eps)
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # params -= ((lr*scale)*m) / (sqrt(v) + eps), each rounded as written.
+        m, v, tmp = self.m, self.v, self.scratch
+        m *= cfg.beta1
+        m += np.multiply(1.0 - cfg.beta1, grad, out=tmp)
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += cfg.eps
+        np.multiply(cfg.learning_rate * scale, m, out=grad)
+        grad /= tmp
+        params -= grad
 
 
 def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> TrainResult:
@@ -331,25 +377,29 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("training and validation datasets must be non-empty")
 
-    work = model.copy()
-    optimizer = _Optimizer(work, config)
+    # The working weights and biases are views into one flat buffer, so the
+    # optimizer and the best-epoch snapshot each act on a single array.
+    params = np.concatenate([p.ravel() for p in _parameters(model)], dtype=float)
+    weights, biases = _views(model, params)
+    work = replace(model, layer_specs=list(model.layer_specs), weights=weights, biases=biases)
+    workspace = Workspace(work)
+    optimizer = _Optimizer(params.size, config)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
 
     history = TrainHistory()
     best_loss = np.inf
-    best_weights = [w.copy() for w in work.weights]
-    best_biases = [None if b is None else b.copy() for b in work.biases]
+    best = params.copy()
 
     for epoch in range(config.max_epochs):
         perm = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(work, x_train[idx], y_train[idx])
+            loss, _ = loss_and_gradients(work, x_train[idx], y_train[idx], workspace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            optimizer.step(work, grads)
+            optimizer.step(params, workspace.grad)
             loss_sum += loss * idx.size
         train_loss = loss_sum / n
 
@@ -366,22 +416,15 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
         if val_loss < best_loss:
             best_loss = val_loss
             history.best_epoch = epoch
-            best_weights = [w.copy() for w in work.weights]
-            best_biases = [None if b is None else b.copy() for b in work.biases]
+            np.copyto(best, params)
         elif epoch - history.best_epoch >= config.patience:
             break
 
-    best = MlpModel(
-        layer_specs=list(work.layer_specs),
-        weights=best_weights,
-        biases=best_biases,
-        input_width=work.input_width,
-        architecture=work.architecture,
-        m=work.m,
-        training_config=config,
-        best_epoch=history.best_epoch,
+    weights, biases = _views(model, best)
+    result = replace(
+        work, weights=weights, biases=biases, training_config=config, best_epoch=history.best_epoch
     )
-    return TrainResult(best, history)
+    return TrainResult(result, history)
 
 
 def save_model(model: MlpModel, path: str) -> None:
@@ -402,6 +445,10 @@ def save_model(model: MlpModel, path: str) -> None:
 def load_model(path: str) -> MlpModel:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    if payload.get("input_width") != 15:
+        raise ValueError(f"{path}: input_width must be 15, got {payload.get('input_width')!r}")
+    if payload.get("architecture") not in ARCHITECTURES:
+        raise ValueError(f"{path}: unknown architecture {payload.get('architecture')!r}")
     specs = [LayerSpec(**s) for s in payload["layer_specs"]]
     config = payload.get("training_config")
     return MlpModel(

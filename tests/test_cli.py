@@ -145,6 +145,45 @@ class TestSweep:
         assert err.value.code == 2
 
 
+class TestFailFast:
+    """Bad arguments exit with code 2 before any data is read or model trained."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--threshold", "1.5"],
+            ["--threshold", "0"],
+            ["--arch", "linear"],
+            ["--arch", "linear", "--m", "0"],
+            ["--arch", "linear", "--m", "16"],
+            ["--hidden", "16,0,4"],
+        ],
+        ids=["threshold-above-1", "threshold-0", "linear-without-m", "m-0", "m-16", "hidden-0"],
+    )
+    def test_train_rejects(self, tmp_path, small_dataset, flags):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run(["train", "--data", small_dataset, "--epochs", "2", *flags,
+                 "--out", str(out_dir / "m.json")])
+        assert err.value.code == 2
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--m", "0,3"], ["--m", "3,16"], ["--m", "2", "--sizes", "300,0,300"]],
+        ids=["m-0", "m-16", "size-0"],
+    )
+    def test_sweep_rejects(self, tmp_path, flags):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", *flags, "--seeds", "1", "--epochs", "1",
+                 "--out", str(out_dir / "s.csv")])
+        assert err.value.code == 2
+        assert os.listdir(out_dir) == []
+
+
 class TestWeights:
     def test_csv_layout(self, tmp_path, small_dataset, capsys):
         model_path = str(tmp_path / "m3.json")

@@ -1,5 +1,9 @@
 """Tests for the network engine: shapes, gradients, training, serialization."""
 
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 from types import SimpleNamespace
@@ -56,6 +60,10 @@ def finite_difference_worst_error(model, batch, labels):
                 else:
                     worst = max(worst, abs(fd - analytic) / abs(analytic))
     return worst
+
+
+def arrays(model):
+    return [a for a in model.weights + model.biases if a is not None]
 
 
 def toy_task(n=1000, margin=0.05, seed=0):
@@ -128,6 +136,9 @@ class TestForward:
         batch = np.random.default_rng(2).uniform(-1, 1, (20, 15))
         perm = np.random.default_rng(3).permutation(20)
         assert np.array_equal(forward(model, batch)[perm], forward(model, batch[perm]))
+
+    def test_empty_batch(self):
+        assert forward(model_new("nonlinear_full", 0), np.zeros((0, 15))).shape == (0,)
 
     def test_shape_mismatch(self):
         model = model_new("linear_code", 0, m=3)
@@ -215,6 +226,29 @@ class TestTrain:
         for before, after in zip(snapshot, model.weights):
             assert np.array_equal(before, after)
 
+    def test_returned_models_share_no_memory(self):
+        train_ds, val_ds = toy_task(seed=6)
+        model = model_new("nonlinear_full", 0, hidden=(8, 4, 2))
+        config = TrainConfig(max_epochs=2, seed=0)
+        first = train(model, train_ds, val_ds, config).model
+        second = train(model, train_ds, val_ds, config).model
+        for x in arrays(first):
+            for y in arrays(second) + arrays(model):
+                assert not np.shares_memory(x, y)
+
+    def test_editing_a_returned_model_changes_nothing_else(self):
+        train_ds, val_ds = toy_task(seed=6)
+        model = model_new("linear_code", 0, m=2)
+        snapshot = [p.copy() for p in arrays(model)]
+        config = TrainConfig(max_epochs=2, seed=0)
+        first = train(model, train_ds, val_ds, config)
+        expected = trained_digest(first)
+        for p in arrays(first.model):
+            p[...] = 7.0
+        for before, after in zip(snapshot, arrays(model)):
+            assert np.array_equal(before, after)
+        assert trained_digest(train(model, train_ds, val_ds, config)) == expected
+
     def test_best_epoch_minimizes_validation_loss(self):
         train_ds, val_ds = toy_task(seed=7)
         result = train(
@@ -275,8 +309,7 @@ class TestCodeWeights:
     def test_code_values_are_plain_matrix_product(self):
         model = model_new("linear_code", 12, m=4)
         batch = np.random.default_rng(0).uniform(-1, 1, (30, 15))
-        acts = nn._forward_trace(model, batch)
-        assert np.array_equal(acts[1], batch @ code_weights(model).T)
+        assert np.array_equal(nn.code_values(model, batch), batch @ code_weights(model).T)
 
     def test_code_layer_is_exactly_linear(self):
         model = model_new("linear_code", 13, m=3)
@@ -315,6 +348,21 @@ class TestModelSerialization:
         assert loaded.m is None
 
 
+    @pytest.mark.parametrize(
+        "field, value", [("input_width", 14), ("architecture", "transformer")]
+    )
+    def test_hand_edited_file_rejected(self, tmp_path, field, value):
+        path = str(tmp_path / "model.json")
+        save_model(model_new("linear_code", 0, m=2), path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload[field] = value
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            load_model(path)
+
+
 class TestModelValidation:
     def test_final_layer_must_be_sigmoid_width_one(self):
         with pytest.raises(ValueError):
@@ -331,3 +379,81 @@ class TestModelValidation:
         specs = [LayerSpec(1, "sigmoid", has_bias=False)]
         with pytest.raises(ValueError):
             MlpModel(specs, [np.zeros((1, 15))], [np.zeros(1)])
+
+
+def _golden_custom_model(seed):
+    """Bias-free linear code, a hidden sigmoid layer, then relu: every backward branch."""
+    specs = [
+        LayerSpec(5, "linear", has_bias=False),
+        LayerSpec(6, "sigmoid"),
+        LayerSpec(4, "relu"),
+        LayerSpec(1, "sigmoid"),
+    ]
+    weights, biases = nn._init_layers(np.random.default_rng(seed), 15, specs)
+    return MlpModel(specs, weights, biases)
+
+
+#: name -> (model builder, config, SHA-256 of the trained weights, biases and
+#: history). The 1024-row training split is a multiple of the default batch
+#: size, so only the ragged case has a short final batch.
+GOLDEN = {
+    "full_adam": (
+        lambda: model_new("nonlinear_full", 21),
+        TrainConfig(max_epochs=3, seed=31),
+        "bea0d4c7a2f9b8992ac66fe5c7c18507895ae7dfc28be0199688e6cb06f50af2",
+    ),
+    "linear_m1_adam": (
+        lambda: model_new("linear_code", 22, m=1),
+        TrainConfig(learning_rate=1e-2, max_epochs=4, seed=32),
+        "ff70756d551430f8e3ebdccc5637f272a6c9ab54b0d034dbec8fdcdb6b3f32a1",
+    ),
+    "linear_m3_adam": (
+        lambda: model_new("linear_code", 23, m=3),
+        TrainConfig(learning_rate=1e-2, max_epochs=4, seed=33),
+        "564d136112f2d3d309539b40b26077e4e42599621a82f2bfc43d704e03fd3c4e",
+    ),
+    "linear_m15_sgd": (
+        lambda: model_new("linear_code", 24, m=15),
+        TrainConfig(optimizer="sgd", learning_rate=0.5, max_epochs=4, seed=34),
+        "5f845b9b4b78148cd83def26c657a52f6a3c6df8f508871550e8b055dabfafae",
+    ),
+    "custom_sigmoid": (
+        lambda: _golden_custom_model(25),
+        TrainConfig(learning_rate=1e-2, max_epochs=4, seed=35),
+        "d77f86ec27a8f982aa1a3bf494d75912d8644c6ab4653dae33ca6dbc9c93b92c",
+    ),
+    "ragged_batches": (
+        lambda: model_new("linear_code", 26, m=3),
+        TrainConfig(batch_size=100, max_epochs=4, seed=36),
+        "6f0fdbf4fa4308e43b28bc2f7136242e2bc233b9b3fad5a86d6848843d79b8a6",
+    ),
+    "batch_exceeds_train": (
+        lambda: model_new("nonlinear_full", 27, hidden=(32, 16, 4)),
+        TrainConfig(batch_size=2048, max_epochs=5, seed=37),
+        "2e84f0ffc9ab5b822463f5a2150856a74c826430047aa8293464bd9b912b0213",
+    ),
+}
+
+
+def trained_digest(result):
+    digest = hashlib.sha256()
+    for w, b in zip(result.model.weights, result.model.biases):
+        digest.update(w.tobytes())
+        if b is not None:
+            digest.update(b.tobytes())
+    digest.update(np.array(result.history.epochs, dtype=float).tobytes())
+    digest.update(str(result.history.best_epoch).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenTraining:
+    """Training is bit-for-bit reproducible: these digests pin the exact float64 result."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_trained_digest(self, case):
+        build, config, expected = GOLDEN[case]
+        train_ds, val_ds = toy_task(n=1280, seed=40)
+        assert len(train_ds.features) == 1024
+        result = train(build(), train_ds, val_ds, config)
+        assert len(result.history.epochs) == config.max_epochs
+        assert trained_digest(result) == expected
