@@ -2,7 +2,7 @@
 
 Subcommands: gen (datasets), train (one model + report), sweep (accuracy and
 precision-1 recall across m), weights (export learned measurement matrix).
-Every run writes a resolved copy of its configuration next to its outputs.
+Every run that writes files records all its parsed flags in <out>.config.json.
 All randomness flows from --seed through labeled sub-streams, so identical
 flags reproduce identical files.
 """
@@ -61,10 +61,11 @@ def _fraction_triple(text: str) -> tuple[float, ...]:
     return values
 
 
-def _write_config(out_path: str, command: str, params: dict) -> None:
-    payload = {"command": command, **params}
+def _write_config(args: argparse.Namespace) -> None:
+    """Record every parsed flag, and the subcommand, in <out>.config.json."""
+    payload = {key: value for key, value in vars(args).items() if key != "func"}
     data._write_atomic(
-        _stem(out_path) + ".config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _stem(args.out) + ".config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
 
@@ -92,18 +93,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         balance=args.balance,
     )
     data.save(ds, args.out)
-    _write_config(
-        args.out,
-        "gen",
-        {
-            "n": args.n,
-            "seed": args.seed,
-            "symmetry": args.symmetry,
-            "rank": args.rank,
-            "balance": args.balance,
-            "out": args.out,
-        },
-    )
+    _write_config(args)
     sep = ds.manifest["separable_fraction"]
     print(
         f"wrote {len(ds)} samples to {args.out} "
@@ -139,24 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     report = witness.evaluate(trained, test_ds, args.threshold)
     witness.save_report(report, stem + ".report.json")
-    _write_config(
-        args.out,
-        "train",
-        {
-            "data": args.data,
-            "arch": args.arch,
-            "m": args.m,
-            "hidden": args.hidden,
-            "epochs": args.epochs,
-            "batch": args.batch,
-            "lr": args.lr,
-            "patience": args.patience,
-            "seed": args.seed,
-            "split": list(args.split),
-            "threshold": args.threshold,
-            "out": args.out,
-        },
-    )
+    _write_config(args)
     print(
         f"trained {architecture} (best epoch {history.best_epoch}); "
         f"test accuracy {report.accuracy:.4f} at threshold {args.threshold}"
@@ -176,23 +149,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     stem = _stem(args.out)
     witness.save_sweep(rows, args.out, stem + ".json")
-    _write_config(
-        args.out,
-        "sweep",
-        {
-            "m": args.m,
-            "symmetry": args.symmetry,
-            "sizes": list(args.sizes),
-            "seeds": args.seeds,
-            "seed": args.seed,
-            "rank": args.rank,
-            "epochs": args.epochs,
-            "batch": args.batch,
-            "lr": args.lr,
-            "patience": args.patience,
-            "out": args.out,
-        },
-    )
+    _write_config(args)
     for row in rows:
         print(
             f"m={row.m} symmetry={row.symmetry} seed={row.seed} "
@@ -212,7 +169,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     else:
         data._write_atomic(args.out, text)
-        _write_config(args.out, "weights", {"model": args.model, "out": args.out})
+        _write_config(args)
         print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} weight matrix to {args.out}")
     return 0
 
@@ -280,6 +237,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--m needs at least one value")
     if args.command == "train" and args.arch == "linear" and args.m is None:
         parser.error("--m is required when --arch linear")
+    if args.command == "train" and args.arch == "full":
+        if args.m is not None:
+            parser.error("--m applies only to --arch linear")
+        if args.hidden is not None and len(args.hidden) < 2:
+            parser.error("--hidden with --arch full needs relu widths, then the code width")
     try:
         return args.func(args)
     except (

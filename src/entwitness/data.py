@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,12 +40,6 @@ class DatasetIntegrityError(ValueError):
     """A dataset file parsed but violates a dataset invariant."""
 
 
-class LabeledSample(NamedTuple):
-    features: np.ndarray
-    label: bool
-    det_pt: float
-
-
 def derived_seed(root_seed: int, *stream: int) -> int:
     """Stable child seed for a labeled randomness stream under one root seed."""
     entropy = [int(root_seed)] + [int(s) for s in stream]
@@ -61,12 +55,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(self.features[i], bool(self.labels[i]), float(self.det_pt[i]))
-
-    def __iter__(self) -> Iterator[LabeledSample]:
-        return (self[i] for i in range(len(self)))
 
     def equals(self, other: "Dataset") -> bool:
         return (
@@ -100,7 +88,8 @@ def generate(
 
     In cylindrical mode each state is twirled before featurization and the
     label is computed on the twirled state. With `balance` the majority class
-    is subsampled (using its own derived stream) to match the minority class.
+    is subsampled (using its own derived stream) to match the minority class;
+    a draw without any state of one class cannot be balanced and raises.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -144,6 +133,9 @@ def _balance_indices(labels: np.ndarray, seed: int) -> np.ndarray:
     rng = np.random.default_rng([int(seed), STREAM_BALANCE])
     entangled = np.flatnonzero(labels)
     separable = np.flatnonzero(~labels)
+    for name, members in (("entangled", entangled), ("separable", separable)):
+        if members.size == 0:
+            raise ValueError(f"cannot balance: no {name} state among {labels.size} draws")
     if entangled.size >= separable.size:
         majority, n_keep = entangled, separable.size
         minority = separable

@@ -9,7 +9,7 @@ linear measurements. Everything is plain numpy and deterministic in the seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ SCORE_CLAMP = 1e-12
 
 FULL_ENCODER_WIDTHS = (384, 192, 8)  # last entry is the linear code width
 LINEAR_HIDDEN_WIDTHS = (256, 128)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -89,9 +93,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
@@ -346,18 +347,18 @@ class _Optimizer:
             return
         self.step_count += 1
         t = self.step_count
-        scale = np.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
+        scale = np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
         # params -= ((lr*scale)*m) / (sqrt(v) + eps), each rounded as written.
         m, v, tmp = self.m, self.v, self.scratch
-        m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, grad, out=tmp)
-        v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, grad, out=tmp)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, grad, out=tmp)
         tmp *= grad
         v += tmp
         np.sqrt(v, out=tmp)
-        tmp += cfg.eps
+        tmp += ADAM_EPS
         np.multiply(cfg.learning_rate * scale, m, out=grad)
         grad /= tmp
         params -= grad
@@ -442,6 +443,21 @@ def save_model(model: MlpModel, path: str) -> None:
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# Model files written while TrainConfig carried the Adam constants record them;
+# such a file loads only if it holds exactly these values.
+_RECORDED_ADAM = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
+
+
+def _load_training_config(path: str, recorded: dict | None) -> TrainConfig | None:
+    if recorded is None:
+        return None
+    known = {f.name for f in fields(TrainConfig)}
+    extra = {key: value for key, value in recorded.items() if key not in known}
+    if not extra.items() <= _RECORDED_ADAM.items():
+        raise ValueError(f"{path}: unsupported training_config entries {extra}")
+    return TrainConfig(**{key: value for key, value in recorded.items() if key in known})
+
+
 def load_model(path: str) -> MlpModel:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -450,7 +466,6 @@ def load_model(path: str) -> MlpModel:
     if payload.get("architecture") not in ARCHITECTURES:
         raise ValueError(f"{path}: unknown architecture {payload.get('architecture')!r}")
     specs = [LayerSpec(**s) for s in payload["layer_specs"]]
-    config = payload.get("training_config")
     return MlpModel(
         layer_specs=specs,
         weights=[np.array(w, dtype=float) for w in payload["weights"]],
@@ -458,6 +473,6 @@ def load_model(path: str) -> MlpModel:
         input_width=payload["input_width"],
         architecture=payload["architecture"],
         m=payload["m"],
-        training_config=None if config is None else TrainConfig(**config),
+        training_config=_load_training_config(path, payload.get("training_config")),
         best_epoch=payload["best_epoch"],
     )

@@ -55,6 +55,13 @@ class TestGen:
         out = str(tmp_path / "missing-dir" / "d.csv")
         assert run(["gen", "--n", "10", "--out", out]) == 1
 
+    def test_unbalanceable_ensemble_fails_before_writing(self, tmp_path, capsys):
+        # Rank-1 states are all entangled, so there is no class to balance against.
+        assert run(["gen", "--n", "200", "--rank", "1", "--balance",
+                    "--out", str(tmp_path / "d.csv")]) == 1
+        assert "no separable state" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -157,8 +164,12 @@ class TestFailFast:
             ["--arch", "linear", "--m", "0"],
             ["--arch", "linear", "--m", "16"],
             ["--hidden", "16,0,4"],
+            ["--arch", "full", "--m", "5"],
+            ["--arch", "full", "--hidden", ""],
+            ["--arch", "full", "--hidden", "16"],
         ],
-        ids=["threshold-above-1", "threshold-0", "linear-without-m", "m-0", "m-16", "hidden-0"],
+        ids=["threshold-above-1", "threshold-0", "linear-without-m", "m-0", "m-16", "hidden-0",
+             "full-with-m", "full-hidden-empty", "full-hidden-one-width"],
     )
     def test_train_rejects(self, tmp_path, small_dataset, flags):
         out_dir = tmp_path / "out"
@@ -182,6 +193,159 @@ class TestFailFast:
                  "--out", str(out_dir / "s.csv")])
         assert err.value.code == 2
         assert os.listdir(out_dir) == []
+
+
+# Each command line, the config file it writes, and that file's exact text.
+CONFIG_CASES = [
+    pytest.param(
+        "gen --n 300 --seed 3 --out gen.csv",
+        "gen.config.json",
+        """\
+{
+  "balance": false,
+  "command": "gen",
+  "n": 300,
+  "out": "gen.csv",
+  "rank": 4,
+  "seed": 3,
+  "symmetry": "none"
+}
+""",
+        id="gen",
+    ),
+    pytest.param(
+        "gen --n 40 --seed 7 --symmetry cylindrical --rank 3 --balance --out g.csv",
+        "g.config.json",
+        """\
+{
+  "balance": true,
+  "command": "gen",
+  "n": 40,
+  "out": "g.csv",
+  "rank": 3,
+  "seed": 7,
+  "symmetry": "cylindrical"
+}
+""",
+        id="gen-flags",
+    ),
+    pytest.param(
+        "train --data d.csv --arch linear --m 2 --hidden 8 --epochs 2 --batch 64 --lr"
+        " 0.01 --patience 1 --seed 1 --split 0.6,0.2,0.2 --threshold 0.7 --out lin.json",
+        "lin.config.json",
+        """\
+{
+  "arch": "linear",
+  "batch": 64,
+  "command": "train",
+  "data": "d.csv",
+  "epochs": 2,
+  "hidden": [
+    8
+  ],
+  "lr": 0.01,
+  "m": 2,
+  "out": "lin.json",
+  "patience": 1,
+  "seed": 1,
+  "split": [
+    0.6,
+    0.2,
+    0.2
+  ],
+  "threshold": 0.7
+}
+""",
+        id="train-linear",
+    ),
+    pytest.param(
+        "train --data d.csv --epochs 1 --hidden 8,4 --out full",
+        "full.config.json",
+        """\
+{
+  "arch": "full",
+  "batch": 256,
+  "command": "train",
+  "data": "d.csv",
+  "epochs": 1,
+  "hidden": [
+    8,
+    4
+  ],
+  "lr": 0.001,
+  "m": null,
+  "out": "full",
+  "patience": 10,
+  "seed": 0,
+  "split": [
+    0.8,
+    0.1,
+    0.1
+  ],
+  "threshold": 0.5
+}
+""",
+        id="train-full-no-extension",
+    ),
+    pytest.param(
+        "sweep --m 1,2 --sizes 200,100,100 --seeds 1 --epochs 1 --symmetry cylindrical"
+        " --out s.csv",
+        "s.config.json",
+        """\
+{
+  "batch": 256,
+  "command": "sweep",
+  "epochs": 1,
+  "lr": 0.001,
+  "m": [
+    1,
+    2
+  ],
+  "out": "s.csv",
+  "patience": 10,
+  "rank": 4,
+  "seed": 0,
+  "seeds": 1,
+  "sizes": [
+    200,
+    100,
+    100
+  ],
+  "symmetry": "cylindrical"
+}
+""",
+        id="sweep",
+    ),
+    pytest.param(
+        "weights --model m3.json --out w.csv",
+        "w.config.json",
+        """\
+{
+  "command": "weights",
+  "model": "m3.json",
+  "out": "w.csv"
+}
+""",
+        id="weights",
+    ),
+]
+
+
+class TestConfigRecord:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        """A directory holding a dataset d.csv and a linear m=3 model m3.json."""
+        root = tmp_path_factory.mktemp("config")
+        run(["gen", "--n", "300", "--seed", "3", "--out", str(root / "d.csv")])
+        run(["train", "--data", str(root / "d.csv"), "--arch", "linear", "--m", "3",
+             "--epochs", "2", "--out", str(root / "m3.json")])
+        return root
+
+    @pytest.mark.parametrize("argv, config_name, expected", CONFIG_CASES)
+    def test_records_every_parsed_flag(self, workdir, monkeypatch, argv, config_name, expected):
+        monkeypatch.chdir(workdir)
+        assert run(argv.split()) == 0
+        assert read_bytes(config_name).decode() == expected
 
 
 class TestWeights:

@@ -81,6 +81,12 @@ class TestGenerate:
         assert ds.manifest["requested_count"] == 20_000
         assert generate(20_000, seed=5, balance=True).equals(ds)
 
+    def test_balance_without_separable_states_raises(self):
+        # Rank-1 (pure) Ginibre states are entangled with probability 1.
+        assert generate(200, seed=5, rank=1).labels.all()
+        with pytest.raises(ValueError, match="no separable state"):
+            generate(200, seed=5, rank=1, balance=True)
+
     def test_regenerate_from_manifest(self):
         for kwargs in (
             dict(count=800, seed=2),
@@ -239,10 +245,3 @@ class TestDerivedSeed:
         streams = {derived_seed(7, s) for s in range(5)}
         assert len(streams) == 5
         assert derived_seed(7, 1, 3) != derived_seed(7, 1, 4)
-
-    def test_dataset_indexing(self):
-        ds = generate(10, seed=0)
-        sample = ds[3]
-        assert sample.label == bool(ds.labels[3])
-        assert sample.det_pt == ds.det_pt[3]
-        assert len(list(iter(ds))) == 10

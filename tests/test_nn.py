@@ -1,5 +1,6 @@
 """Tests for the network engine: shapes, gradients, training, serialization."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -294,6 +295,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
 
+    def test_only_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "learning_rate", "batch_size", "max_epochs", "patience", "seed", "optimizer"
+        ]
+
 
 class TestCodeWeights:
     def test_shape_and_initial_value(self):
@@ -359,6 +365,40 @@ class TestModelSerialization:
         payload[field] = value
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            load_model(path)
+
+    @staticmethod
+    def saved_with_training_config(tmp_path, **entries):
+        """A saved linear_code model whose training_config has `entries` added."""
+        model = model_new("linear_code", 0, m=2)
+        model.training_config = TrainConfig(learning_rate=0.01, seed=4)
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["training_config"].update(entries)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+        return model, path
+
+    def test_file_recording_adam_constants_loads(self, tmp_path):
+        # Model files once recorded beta1, beta2 and eps in training_config.
+        model, path = self.saved_with_training_config(
+            tmp_path, beta1=0.9, beta2=0.999, eps=1e-8
+        )
+        loaded = load_model(path)
+        assert loaded.training_config == model.training_config
+        batch = np.random.default_rng(1).uniform(-1, 1, (9, 15))
+        assert np.array_equal(forward(model, batch), forward(loaded, batch))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{"beta1": 0.8}, {"eps": 1e-7, "beta2": 0.999}, {"momentum": 0.9}],
+        ids=["differing-beta1", "differing-eps", "unknown-key"],
+    )
+    def test_unsupported_training_config_rejected(self, tmp_path, entries):
+        _, path = self.saved_with_training_config(tmp_path, **entries)
         with pytest.raises(ValueError, match=re.escape(path)):
             load_model(path)
 
