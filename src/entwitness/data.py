@@ -8,10 +8,11 @@ manifest that pins everything needed to regenerate it bit-identically.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -30,6 +31,9 @@ STREAM_SPLIT = 3
 STREAM_BALANCE = 4
 
 _CHUNK = 8192
+
+# One CSV row: 15 features, the 0/1 label, det_pt.
+_ROW_FORMAT = ",".join(["%.17g"] * 15) + ",%d,%.17g\n"
 
 
 class DatasetFormatError(ValueError):
@@ -191,12 +195,14 @@ def split(
     return tuple(parts)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write `text`, or a stream of text chunks, to a temporary file renamed onto `path`."""
+    chunks = (text,) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -208,19 +214,98 @@ def manifest_path(path: str) -> str:
     return f"{path}.manifest.json"
 
 
+def _csv_blocks(ds: Dataset) -> Iterator[str]:
+    """The CSV text in `_CHUNK`-row blocks, each formatted by one `%` operation."""
+    yield CSV_HEADER + "\n"
+    for start in range(0, len(ds), _CHUNK):
+        stop = start + _CHUNK
+        # Labels become 0.0/1.0 here, which %d prints as 0/1.
+        block = np.column_stack(
+            (ds.features[start:stop], ds.labels[start:stop], ds.det_pt[start:stop])
+        )
+        yield (_ROW_FORMAT * block.shape[0]) % tuple(block.ravel().tolist())
+
+
 def save(ds: Dataset, path: str) -> None:
     """Write the dataset as CSV plus a JSON manifest sidecar, atomically."""
     _check_invariants(ds)
-    lines = [CSV_HEADER]
-    for row, label, det in zip(ds.features, ds.labels, ds.det_pt):
-        cells = [f"{v:.17g}" for v in row]
-        cells.append("1" if label else "0")
-        cells.append(f"{det:.17g}")
-        lines.append(",".join(cells))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, _csv_blocks(ds))
     _write_atomic(
         manifest_path(path), json.dumps(ds.manifest, indent=2, sort_keys=True) + "\n"
     )
+
+
+def _label_value(text: str) -> float:
+    if text not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {text!r}")
+    return float(text)
+
+
+def _line_count(path: str) -> int | None:
+    """Lines in the file as iterating it in text mode sees them.
+
+    A final line without a newline counts. Returns None for a file holding a
+    carriage return, where universal newlines would split lines that a
+    newline count misses.
+    """
+    newlines, last = 0, b"\n"
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            if b"\r" in block:
+                return None
+            newlines += block.count(b"\n")
+            last = block[-1:]
+    return newlines + (last != b"\n")
+
+
+def _parse_table(path: str, handle: TextIO) -> np.ndarray | None:
+    """The (rows, 17) body after the header, or None if np.loadtxt cannot vouch for it.
+
+    loadtxt skips blank lines, so a table whose row count differs from the
+    file's line count is handed to the per-row parser like any parse error.
+    """
+    lines = _line_count(path)
+    if lines is None:
+        return None
+    rows = lines - 1
+    if rows == 0:
+        return np.empty((0, 17))
+    try:
+        table = np.loadtxt(
+            handle, delimiter=",", comments=None, converters={15: _label_value}, ndmin=2
+        )
+    except ValueError:
+        return None
+    if table.shape != (rows, 17):
+        return None
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(f"{path}: row {np.argmin(finite) + 2}: non-finite value")
+    return table
+
+
+def _parse_rows(path: str) -> np.ndarray:
+    """Per-row parser: raises DatasetFormatError naming the first bad row."""
+    rows = []
+    with open(path, encoding="utf-8") as handle:
+        handle.readline()
+        for lineno, line in enumerate(handle, start=2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != 17:
+                raise DatasetFormatError(
+                    f"{path}: row {lineno}: expected 17 fields, got {len(cells)}"
+                )
+            try:
+                values = [float(c) for c in cells[:15]]
+                det = float(cells[16])
+                values.append(_label_value(cells[15]))
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: row {lineno}: {exc}") from exc
+            values.append(det)
+            if not all(map(math.isfinite, values)):
+                raise DatasetFormatError(f"{path}: row {lineno}: non-finite value")
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), 17)
 
 
 def load(path: str) -> Dataset:
@@ -230,35 +315,21 @@ def load(path: str) -> Dataset:
         raise DatasetIntegrityError(f"missing manifest sidecar {mpath}")
     with open(mpath, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    if not isinstance(manifest, dict) or "count" not in manifest:
+        raise DatasetIntegrityError(f"{mpath}: manifest must be a JSON object with a count")
 
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise DatasetFormatError(f"{path}: unexpected header {header!r}")
-        features, labels, det_pt = [], [], []
-        for lineno, line in enumerate(handle, start=2):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != 17:
-                raise DatasetFormatError(
-                    f"{path}: row {lineno}: expected 17 fields, got {len(cells)}"
-                )
-            try:
-                row = [float(c) for c in cells[:15]]
-                det = float(cells[16])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: row {lineno}: {exc}") from exc
-            if cells[15] not in ("0", "1"):
-                raise DatasetFormatError(
-                    f"{path}: row {lineno}: label must be 0 or 1, got {cells[15]!r}"
-                )
-            features.append(row)
-            labels.append(cells[15] == "1")
-            det_pt.append(det)
+        table = _parse_table(path, handle)
+    if table is None:
+        table = _parse_rows(path)
 
     ds = Dataset(
-        np.array(features, dtype=float).reshape(len(features), 15),
-        np.array(labels, dtype=bool),
-        np.array(det_pt, dtype=float),
+        np.ascontiguousarray(table[:, :15]),
+        table[:, 15] == 1.0,
+        table[:, 16].copy(),
         manifest,
     )
     _check_invariants(ds)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestGen:
     def test_symmetry_recorded_in_manifest(self, tmp_path):
         out = str(tmp_path / "d.csv")
         run(["gen", "--n", "50", "--symmetry", "cylindrical", "--out", out])
-        manifest = json.load(open(data.manifest_path(out)))
+        manifest = json.loads(Path(data.manifest_path(out)).read_text())
         assert manifest["symmetry"] == "cylindrical"
 
     def test_zero_count_is_usage_error(self, tmp_path):
@@ -80,12 +81,12 @@ class TestTrain:
         assert code == 0
         model = nn.load_model(out)
         assert nn.code_weights(model).shape == (3, 15)
-        history = open(str(tmp_path / "model.history.csv")).read().splitlines()
+        history = (tmp_path / "model.history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,validation_loss,validation_accuracy"
         assert len(history) > 1
-        report = json.load(open(str(tmp_path / "model.report.json")))
+        report = json.loads((tmp_path / "model.report.json").read_text())
         assert "accuracy" in report["rates"]
-        config = json.load(open(str(tmp_path / "model.config.json")))
+        config = json.loads((tmp_path / "model.config.json").read_text())
         assert config["command"] == "train"
         assert config["m"] == 3
 
@@ -119,6 +120,29 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "manifest", [{"seed": 3}, [1, 2]], ids=["without-count", "not-an-object"]
+    )
+    def test_bad_manifest_fails(self, tmp_path, capsys, manifest):
+        path = str(tmp_path / "d.csv")
+        run(["gen", "--n", "50", "--out", path])
+        Path(data.manifest_path(path)).write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["train", "--data", path, "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {data.manifest_path(path)}: ")
+        assert not os.path.exists(str(tmp_path / "m.json"))
+
+    def test_non_finite_cell_fails_before_training(self, tmp_path, capsys):
+        path = str(tmp_path / "d.csv")
+        run(["gen", "--n", "50", "--out", path])
+        lines = Path(path).read_text().splitlines()
+        lines[3] = "nan" + lines[3][lines[3].index(","):]
+        Path(path).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["train", "--data", path, "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: row 4: non-finite value\n"
+        assert not os.path.exists(str(tmp_path / "m.json"))
+
     def test_linear_requires_m(self, tmp_path, small_dataset):
         with pytest.raises(SystemExit) as err:
             run(["train", "--data", small_dataset, "--arch", "linear",
@@ -140,10 +164,10 @@ class TestSweep:
              "--epochs", "3", "--out", out]
         )
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "m,symmetry,seed,accuracy,recall_p1"
         assert len(lines) == 1 + 2 * 2
-        rows = json.load(open(str(tmp_path / "sweep.json")))
+        rows = json.loads((tmp_path / "sweep.json").read_text())
         assert {r["m"] for r in rows} == {1, 2}
 
     def test_empty_m_is_usage_error(self, tmp_path):
@@ -366,7 +390,7 @@ class TestWeights:
              "--epochs", "3", "--out", model_path])
         out = str(tmp_path / "w.csv")
         run(["weights", "--model", model_path, "--out", out])
-        rows = open(out).read().strip().split("\n")[1:]
+        rows = Path(out).read_text().strip().split("\n")[1:]
         matrix = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(matrix, nn.code_weights(nn.load_model(model_path)))
 

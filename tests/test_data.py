@@ -1,5 +1,10 @@
 """Tests for dataset generation, splitting, and CSV/manifest persistence."""
 
+import hashlib
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +152,123 @@ class TestSplit:
             split(ds, fractions, seed=0)
 
 
+def _set_cell(row, col, text):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col] = text
+        lines[row] = ",".join(cells)
+
+    return edit
+
+
+def _blank_line_after_lone_cr(lines):
+    # Text mode splits at the lone carriage return, so the file keeps as many
+    # newlines as loadtxt returns rows although it holds a blank line.
+    lines.insert(11, "")
+    lines[3:5] = [lines[3] + "\r" + lines[4]]
+
+
+def _rewrite(path, edit):
+    lines = Path(path).read_text().splitlines()
+    edit(lines)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def saved20(tmp_path):
+    ds = generate(20, seed=1)
+    path = str(tmp_path / "d.csv")
+    save(ds, path)
+    return ds, path
+
+
+# SHA-256 of the CSV and the manifest that save(generate(8193, seed=21)) writes,
+# as recorded with the per-row writer the block formatter replaced. 8193 rows
+# are one full _CHUNK block plus one row.
+GOLDEN_DIGESTS = {
+    "cylindrical": (
+        "f118a1cee8396f7d011942e9dd653312c23ff5d2e5b51ac5fbad441911497082",
+        "7396c8d3f403a0b417f71cc245086368340df72a3ec742e26f308f5bdfb388f2",
+    ),
+    "none": (
+        "021df49249a0b6dcd013be545bdcdb7847770a64f63749799710fd7f81b319d2",
+        "8e3eae2d83fd41a30c3b8d7cc1fb75dac40153fb79ea0f968a4dd8f7aad53015",
+    ),
+}
+
+# Edits of a saved 20-row file (lines[0] is the header), with the error and
+# message load raises. Apart from the non-finite cases, each outcome is the
+# one the per-row parser gave before np.loadtxt fronted it.
+MALFORMED = [
+    pytest.param(
+        lambda lines: lines.insert(4, ""),
+        DatasetFormatError,
+        "{path}: row 5: expected 17 fields, got 1",
+        id="blank-line",
+    ),
+    pytest.param(
+        lambda lines: lines.insert(4, "   "),
+        DatasetFormatError,
+        "{path}: row 5: expected 17 fields, got 1",
+        id="whitespace-line",
+    ),
+    pytest.param(
+        _set_cell(3, 15, "1.0"),
+        DatasetFormatError,
+        "{path}: row 4: label must be 0 or 1, got '1.0'",
+        id="label-1.0",
+    ),
+    pytest.param(
+        _set_cell(3, 15, " 1"),
+        DatasetFormatError,
+        "{path}: row 4: label must be 0 or 1, got ' 1'",
+        id="label-space-1",
+    ),
+    pytest.param(
+        _set_cell(6, 2, "#1"),
+        DatasetFormatError,
+        "{path}: row 7: could not convert string to float: '#1'",
+        id="hash-cell",
+    ),
+    # Read as a comment, "#1" would cut this cell to -0.5 and the row would parse.
+    pytest.param(
+        _set_cell(6, 16, "-0.5#1"),
+        DatasetFormatError,
+        "{path}: row 7: could not convert string to float: '-0.5#1'",
+        id="hash-after-det",
+    ),
+    pytest.param(
+        _blank_line_after_lone_cr,
+        DatasetFormatError,
+        "{path}: row 12: expected 17 fields, got 1",
+        id="blank-line-after-lone-cr",
+    ),
+    pytest.param(
+        lambda lines: lines.__delitem__(slice(1, None)),
+        DatasetIntegrityError,
+        "manifest count 20 != 0 rows",
+        id="header-only",
+    ),
+    pytest.param(
+        _set_cell(5, 3, "nan"),
+        DatasetFormatError,
+        "{path}: row 6: non-finite value",
+        id="nan-feature",
+    ),
+    pytest.param(
+        _set_cell(5, 16, "-inf"),
+        DatasetFormatError,
+        "{path}: row 6: non-finite value",
+        id="inf-det",
+    ),
+    pytest.param(
+        lambda lines: (_set_cell(5, 3, "nan")(lines), _set_cell(9, 15, "2")(lines)),
+        DatasetFormatError,
+        "{path}: row 6: non-finite value",
+        id="nan-before-bad-label",
+    ),
+]
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         ds = generate(300, seed=11, symmetry="cylindrical")
@@ -168,14 +290,14 @@ class TestSaveLoad:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         save(ds, p1)
         save(generate(200, seed=13), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        assert open(manifest_path(p1), "rb").read() == open(manifest_path(p2), "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        assert Path(manifest_path(p1)).read_bytes() == Path(manifest_path(p2)).read_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         ds = generate(50, seed=1)
         path = str(tmp_path / "d.csv")
         save(ds, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         with open(path, "w") as fh:
             fh.write("\n".join(lines[:-10]) + "\n")
         with pytest.raises(DatasetIntegrityError):
@@ -185,7 +307,7 @@ class TestSaveLoad:
         ds = generate(20, seed=1)
         path = str(tmp_path / "d.csv")
         save(ds, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[5] = lines[5].replace(",", ",junk,", 1)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -196,7 +318,7 @@ class TestSaveLoad:
         ds = generate(20, seed=1)
         path = str(tmp_path / "d.csv")
         save(ds, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         cells = lines[3].split(",")
         cells[15] = "0" if cells[15] == "1" else "1"
         lines[3] = ",".join(cells)
@@ -209,7 +331,7 @@ class TestSaveLoad:
         ds = generate(5, seed=1)
         path = str(tmp_path / "d.csv")
         save(ds, path)
-        text = open(path).read()
+        text = Path(path).read_text()
         with open(path, "w") as fh:
             fh.write("x," + text)
         with pytest.raises(DatasetFormatError, match="header"):
@@ -229,13 +351,74 @@ class TestSaveLoad:
         ds = generate(5, seed=1)
         path = str(tmp_path / "d.csv")
         save(ds, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         cells = lines[2].split(",")
         cells[15] = "2"
         lines[2] = ",".join(cells)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="label"):
+            load(path)
+
+
+    @pytest.mark.parametrize("symmetry", sorted(GOLDEN_DIGESTS))
+    def test_golden_bytes(self, tmp_path, monkeypatch, symmetry):
+        ds = generate(8193, symmetry=symmetry, seed=21)
+        path = str(tmp_path / "d.csv")
+        save(ds, path)
+        csv_digest, manifest_digest = GOLDEN_DIGESTS[symmetry]
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(Path(manifest_path(path)).read_bytes()).hexdigest() == manifest_digest
+
+        # A well-formed file never needs the per-row parser.
+        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        loaded = load(path)
+        assert loaded.equals(ds)
+        for array in (loaded.features, loaded.labels, loaded.det_pt):
+            assert array.flags.c_contiguous
+        assert loaded.features.dtype == np.float64
+        assert loaded.det_pt.dtype == np.float64
+        assert loaded.labels.dtype == np.bool_
+
+    @pytest.mark.parametrize("edit, error, message", MALFORMED)
+    def test_malformed_file(self, saved20, edit, error, message):
+        _, path = saved20
+        _rewrite(path, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                load(path)
+        assert str(err.value) == message.format(path=path)
+
+    def test_no_final_newline_accepted(self, saved20):
+        ds, path = saved20
+        Path(path).write_text(Path(path).read_text().rstrip("\n"))
+        assert load(path).equals(ds)
+
+    def test_carriage_returns_accepted(self, saved20):
+        ds, path = saved20
+        Path(path).write_bytes(Path(path).read_bytes().replace(b"\n", b"\r\n"))
+        assert load(path).equals(ds)
+
+    def test_underscore_digits_accepted(self, saved20):
+        # Python's float() reads "1_0" as 10.0; loadtxt does not, so this
+        # file takes the per-row parser and loads as before.
+        ds, path = saved20
+        _rewrite(path, _set_cell(7, 4, "1_0"))
+        loaded = load(path)
+        expected = ds.features.copy()
+        expected[6, 4] = 10.0
+        assert np.array_equal(loaded.features, expected)
+        assert loaded.features.flags.c_contiguous
+        assert np.array_equal(loaded.det_pt, ds.det_pt)
+
+    @pytest.mark.parametrize(
+        "manifest", [{"seed": 1}, [1, 2]], ids=["without-count", "not-an-object"]
+    )
+    def test_bad_manifest_rejected(self, saved20, manifest):
+        _, path = saved20
+        Path(manifest_path(path)).write_text(json.dumps(manifest))
+        with pytest.raises(DatasetIntegrityError, match="manifest.json: manifest must be"):
             load(path)
 
 
