@@ -247,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ValueError,
         OSError,
-        json.JSONDecodeError,
         nn.TrainingDivergedError,
         witness.CalibrationDegenerateError,
     ) as exc:

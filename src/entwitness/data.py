@@ -35,6 +35,9 @@ _CHUNK = 8192
 # One CSV row: 15 features, the 0/1 label, det_pt.
 _ROW_FORMAT = ",".join(["%.17g"] * 15) + ",%d,%.17g\n"
 
+# The manifest entries that load, split and regenerate read.
+_MANIFEST_KEYS = {"count", "seed", "requested_count", "symmetry", "rank", "balanced"}
+
 
 class DatasetFormatError(ValueError):
     """A dataset file could not be parsed."""
@@ -75,9 +78,9 @@ def _check_invariants(ds: Dataset) -> None:
             f"manifest count {ds.manifest['count']} != {len(ds)} rows"
         )
     bad = np.flatnonzero(ds.labels != (ds.det_pt < 0.0))
-    if bad.size:
+    if bad.size:  # numbered as its CSV file line, the header being line 1
         raise DatasetIntegrityError(
-            f"row {bad[0]}: label inconsistent with det_pt sign"
+            f"row {bad[0] + 2}: label inconsistent with det_pt sign"
         )
 
 
@@ -315,8 +318,10 @@ def load(path: str) -> Dataset:
         raise DatasetIntegrityError(f"missing manifest sidecar {mpath}")
     with open(mpath, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if not isinstance(manifest, dict) or "count" not in manifest:
-        raise DatasetIntegrityError(f"{mpath}: manifest must be a JSON object with a count")
+    if not isinstance(manifest, dict) or not _MANIFEST_KEYS <= manifest.keys():
+        raise DatasetIntegrityError(
+            f"{mpath}: manifest must be a JSON object with {', '.join(sorted(_MANIFEST_KEYS))}"
+        )
 
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,32 +52,26 @@ class LayerSpec:
 
 @dataclass(eq=False)
 class MlpModel:
-    layer_specs: list[LayerSpec]
-    weights: list[np.ndarray]  # per layer, shape (fan_out, fan_in)
-    biases: list[np.ndarray | None]
-    input_width: int = 15
+    """Layer specs plus one flat `params` array; `weights` (per layer, shape
+    (fan_out, fan_in)) and `biases` are views into it."""
+
+    input_width: ClassVar[int] = 15
+    layer_specs: tuple[LayerSpec, ...]
+    params: np.ndarray
     architecture: str = "custom"
     m: int | None = None
     training_config: "TrainConfig | None" = None
     best_epoch: int | None = None
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.layer_specs = tuple(self.layer_specs)
         if not self.layer_specs:
             raise ValueError("model needs at least one layer")
         if self.layer_specs[-1].width != 1 or self.layer_specs[-1].activation != "sigmoid":
             raise ValueError("final layer must be width 1 with sigmoid activation")
-        fan_in = self.input_width
-        for i, (spec, w, b) in enumerate(zip(self.layer_specs, self.weights, self.biases)):
-            if w.shape != (spec.width, fan_in):
-                raise ValueError(
-                    f"layer {i}: weight shape {w.shape} != ({spec.width}, {fan_in})"
-                )
-            if spec.has_bias:
-                if b is None or b.shape != (spec.width,):
-                    raise ValueError(f"layer {i}: bias missing or misshapen")
-            elif b is not None:
-                raise ValueError(f"layer {i}: bias present but has_bias is false")
-            fan_in = spec.width
+        _, self.weights, self.biases = _views(self.layer_specs, self.params)
 
 
 class Gradients(NamedTuple):
@@ -124,17 +118,35 @@ class TrainResult(NamedTuple):
     history: TrainHistory
 
 
-def _init_layers(
-    rng: np.random.Generator, input_width: int, specs: Sequence[LayerSpec]
-) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    # Gaussian weights scaled by 1/sqrt(fan_in); biases start at zero.
-    weights, biases = [], []
-    fan_in = input_width
-    for spec in specs:
-        weights.append(rng.standard_normal((spec.width, fan_in)) / np.sqrt(fan_in))
-        biases.append(np.zeros(spec.width) if spec.has_bias else None)
-        fan_in = spec.width
-    return weights, biases
+def _views(
+    specs: Sequence[LayerSpec], params: np.ndarray | None = None
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray | None]]:
+    """`params` and its per-layer views, laid out w0, b0, w1, b1, ... with absent biases
+    skipped: the only code that knows this layout. A `params` that is not 1-D, C-contiguous
+    float64 of the layout's size is rejected; without one, a zeroed one is made."""
+    fan_ins = [MlpModel.input_width, *(spec.width for spec in specs[:-1])]
+    size = sum(spec.width * (fan_in + spec.has_bias) for spec, fan_in in zip(specs, fan_ins))
+    if params is None:
+        params = np.zeros(size)
+    elif not isinstance(params, np.ndarray) or params.shape != (size,) or not (
+        params.dtype == np.float64 and params.flags.c_contiguous
+    ):
+        raise ValueError(f"params must be a 1-D C-contiguous float64 array of {size} values")
+    weights, biases, offset = [], [], 0
+    for spec, fan_in in zip(specs, fan_ins):
+        weights.append(params[offset : offset + spec.width * fan_in].reshape(spec.width, fan_in))
+        offset += spec.width * fan_in
+        biases.append(params[offset : offset + spec.width] if spec.has_bias else None)
+        offset += spec.width if spec.has_bias else 0
+    return params, weights, biases
+
+
+def _init_params(rng: np.random.Generator, specs: Sequence[LayerSpec]) -> np.ndarray:
+    """Gaussian weights scaled by 1/sqrt(fan_in), drawn layer by layer; biases start at zero."""
+    params, weights, _ = _views(specs)
+    for w in weights:
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
+    return params
 
 
 def model_new(
@@ -168,13 +180,9 @@ def model_new(
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
 
-    rng = np.random.default_rng(seed)
-    weights, biases = _init_layers(rng, 15, specs)
     return MlpModel(
         layer_specs=specs,
-        weights=weights,
-        biases=biases,
-        input_width=15,
+        params=_init_params(np.random.default_rng(seed), specs),
         architecture=architecture,
         m=m if architecture == "linear_code" else None,
     )
@@ -204,20 +212,10 @@ def _layer(
     return z
 
 
-def _parameters(model: MlpModel) -> list[np.ndarray]:
-    """Weights and biases in flat-buffer order: w0, b0, w1, b1, ..., absent biases skipped."""
-    return [p for w, b in zip(model.weights, model.biases) for p in (w, b) if p is not None]
-
-
-def _views(model: MlpModel, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    """Per-layer weight and bias views into `flat`, shaped like the model's own."""
-    weights, biases, offset = [], [], 0
-    for w, b in zip(model.weights, model.biases):
-        weights.append(flat[offset : offset + w.size].reshape(w.shape))
-        offset += w.size
-        biases.append(None if b is None else flat[offset : offset + b.size])
-        offset += 0 if b is None else b.size
-    return weights, biases
+def _bce(scores: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy of scores clamped to [SCORE_CLAMP, 1 - SCORE_CLAMP]."""
+    clamped = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    return float(-np.mean(y * np.log(clamped) + (1.0 - y) * np.log1p(-clamped)))
 
 
 def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -237,14 +235,6 @@ def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
-def code_values(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Outputs of the measurement layer of a linear_code model, shape (n, m)."""
-    if model.architecture != "linear_code":
-        raise ValueError("code_values requires a linear_code model")
-    batch = _check_batch(model, batch)
-    return batch @ model.weights[0].T
-
-
 def code_weights(model: MlpModel) -> np.ndarray:
     """The m x 15 measurement matrix; row k combines the Pauli expectations."""
     if model.architecture != "linear_code":
@@ -255,14 +245,14 @@ def code_weights(model: MlpModel) -> np.ndarray:
 class Workspace:
     """Buffers that one model's training steps reuse instead of allocating.
 
-    `grad` is one flat gradient array laid out like the flat parameter buffer,
-    and `grads` views it per layer. Activation and delta buffers are made once
+    `grad` is one flat gradient array laid out like the model's `params`, and
+    `grads` views it per layer. Activation and delta buffers are made once
     per batch row count.
     """
 
     def __init__(self, model: MlpModel):
-        self.grad = np.empty(sum(p.size for p in _parameters(model)))
-        self.grads = Gradients(*_views(model, self.grad))
+        self.grad = np.empty_like(model.params)
+        self.grads = Gradients(*_views(model.layer_specs, self.grad)[1:])
         self._widths = [spec.width for spec in model.layer_specs]
         self._buffers: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
@@ -296,14 +286,12 @@ def loss_and_gradients(
         a = _layer(a, w, b, spec.activation, out)
     acts = [batch, *outputs]  # index i+1 is the output of layer i
     scores = a[:, 0]
-    clamped = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-    n = batch.shape[0]
-    loss = float(-np.mean(y * np.log(clamped) + (1.0 - y) * np.log1p(-clamped)))
+    loss = _bce(scores, y)
 
     # Fused sigmoid + cross-entropy derivative at the output.
     delta = deltas[-1]
     np.subtract(scores, y, out=delta[:, 0])
-    delta /= n
+    delta /= batch.shape[0]
     grads = workspace.grads
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=grads.weights[i])
@@ -378,11 +366,9 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("training and validation datasets must be non-empty")
 
-    # The working weights and biases are views into one flat buffer, so the
-    # optimizer and the best-epoch snapshot each act on a single array.
-    params = np.concatenate([p.ravel() for p in _parameters(model)], dtype=float)
-    weights, biases = _views(model, params)
-    work = replace(model, layer_specs=list(model.layer_specs), weights=weights, biases=biases)
+    # The optimizer and the best-epoch snapshot each act on the single flat array.
+    params = model.params.copy()
+    work = replace(model, params=params)
     workspace = Workspace(work)
     optimizer = _Optimizer(params.size, config)
     rng = np.random.default_rng(config.seed)
@@ -405,10 +391,7 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
         train_loss = loss_sum / n
 
         val_scores = forward(work, x_val)
-        val_clamped = np.clip(val_scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-        val_loss = float(
-            -np.mean(y_val * np.log(val_clamped) + (1.0 - y_val) * np.log1p(-val_clamped))
-        )
+        val_loss = _bce(val_scores, y_val)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch)
         val_acc = float(np.mean((val_scores >= 0.5) == (y_val > 0.5)))
@@ -421,10 +404,7 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
         elif epoch - history.best_epoch >= config.patience:
             break
 
-    weights, biases = _views(model, best)
-    result = replace(
-        work, weights=weights, biases=biases, training_config=config, best_epoch=history.best_epoch
-    )
+    result = replace(work, params=best, training_config=config, best_epoch=history.best_epoch)
     return TrainResult(result, history)
 
 
@@ -458,7 +438,18 @@ def _load_training_config(path: str, recorded: dict | None) -> TrainConfig | Non
     return TrainConfig(**{key: value for key, value in recorded.items() if key in known})
 
 
+def _copy_recorded(path: str, what: str, view: np.ndarray | None, recorded) -> None:
+    """Copy a recorded weight or bias list into its view; None stands for an absent bias."""
+    value = None if recorded is None else np.array(recorded, dtype=float)
+    found, needed = ("absent" if a is None else f"shape {a.shape}" for a in (value, view))
+    if found != needed:
+        raise ValueError(f"{path}: {what} is {found}, layer_specs needs {needed}")
+    if view is not None:
+        view[...] = value
+
+
 def load_model(path: str) -> MlpModel:
+    """Read a model file; its weights and biases must match its layer_specs layer by layer."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("input_width") != 15:
@@ -466,11 +457,15 @@ def load_model(path: str) -> MlpModel:
     if payload.get("architecture") not in ARCHITECTURES:
         raise ValueError(f"{path}: unknown architecture {payload.get('architecture')!r}")
     specs = [LayerSpec(**s) for s in payload["layer_specs"]]
+    params, weights, biases = _views(specs)
+    if not len(payload["weights"]) == len(payload["biases"]) == len(specs):
+        raise ValueError(f"{path}: weights and biases must list all {len(specs)} layers")
+    for i, (w, b) in enumerate(zip(payload["weights"], payload["biases"])):
+        _copy_recorded(path, f"layer {i} weight", weights[i], w)
+        _copy_recorded(path, f"layer {i} bias", biases[i], b)
     return MlpModel(
         layer_specs=specs,
-        weights=[np.array(w, dtype=float) for w in payload["weights"]],
-        biases=[None if b is None else np.array(b, dtype=float) for b in payload["biases"]],
-        input_width=payload["input_width"],
+        params=params,
         architecture=payload["architecture"],
         m=payload["m"],
         training_config=_load_training_config(path, payload.get("training_config")),

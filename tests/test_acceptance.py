@@ -168,8 +168,7 @@ def test_criterion_04_gradient_check():
             nn.LayerSpec(3, "sigmoid", has_bias=not seed % 2),
             nn.LayerSpec(1, "sigmoid"),
         ]
-        weights, biases = nn._init_layers(rng, 15, specs)
-        model = nn.MlpModel(specs, weights, biases)
+        model = nn.MlpModel(specs, nn._init_params(rng, specs))
         batch = rng.uniform(-1, 1, (6, 15))
         labels = (rng.uniform(size=6) > 0.5).astype(float)
         worst = max(worst, finite_difference_worst_error(model, batch, labels))

@@ -121,7 +121,9 @@ class TestTrain:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "manifest", [{"seed": 3}, [1, 2]], ids=["without-count", "not-an-object"]
+        "manifest",
+        [{"seed": 3}, [1, 2], {"count": 50}],
+        ids=["without-count", "not-an-object", "without-seed"],
     )
     def test_bad_manifest_fails(self, tmp_path, capsys, manifest):
         path = str(tmp_path / "d.csv")

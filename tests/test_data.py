@@ -324,8 +324,9 @@ class TestSaveLoad:
         lines[3] = ",".join(cells)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        with pytest.raises(DatasetIntegrityError, match="label"):
+        with pytest.raises(DatasetIntegrityError) as err:
             load(path)
+        assert str(err.value) == "row 4: label inconsistent with det_pt sign"
 
     def test_wrong_header_rejected(self, tmp_path):
         ds = generate(5, seed=1)
@@ -413,7 +414,9 @@ class TestSaveLoad:
         assert np.array_equal(loaded.det_pt, ds.det_pt)
 
     @pytest.mark.parametrize(
-        "manifest", [{"seed": 1}, [1, 2]], ids=["without-count", "not-an-object"]
+        "manifest",
+        [{"seed": 1}, [1, 2], {"count": 20}],
+        ids=["without-count", "not-an-object", "without-seed"],
     )
     def test_bad_manifest_rejected(self, saved20, manifest):
         _, path = saved20

@@ -160,10 +160,9 @@ class TestLossAndGradients:
         assert loss == pytest.approx(np.log(2), abs=1e-9)
 
     def test_saturated_correct_predictions(self):
-        specs = [LayerSpec(1, "sigmoid")]
-        weights = [np.zeros((1, 15))]
-        weights[0][0, 0] = 100.0
-        model = MlpModel(specs, weights, [np.zeros(1)])
+        params = np.zeros(16)
+        params[0] = 100.0
+        model = MlpModel([LayerSpec(1, "sigmoid")], params)
         batch = np.zeros((4, 15))
         batch[:2, 0] = 1.0
         batch[2:, 0] = -1.0
@@ -174,8 +173,7 @@ class TestLossAndGradients:
     def test_gradients_match_finite_differences_15_3_4_1(self):
         rng = np.random.default_rng(42)
         specs = [LayerSpec(3, "relu"), LayerSpec(4, "sigmoid"), LayerSpec(1, "sigmoid")]
-        weights, biases = nn._init_layers(rng, 15, specs)
-        model = MlpModel(specs, weights, biases)
+        model = MlpModel(specs, nn._init_params(rng, specs))
         batch = rng.uniform(-1, 1, (8, 15))
         labels = (rng.uniform(size=8) > 0.5).astype(float)
         assert finite_difference_worst_error(model, batch, labels) < FD_REL_TOL
@@ -189,8 +187,7 @@ class TestLossAndGradients:
             LayerSpec(3, "sigmoid", has_bias=not seed % 2),
             LayerSpec(1, "sigmoid"),
         ]
-        weights, biases = nn._init_layers(rng, 15, specs)
-        model = MlpModel(specs, weights, biases)
+        model = MlpModel(specs, nn._init_params(rng, specs))
         batch = rng.uniform(-1, 1, (6, 15))
         labels = (rng.uniform(size=6) > 0.5).astype(float)
         assert finite_difference_worst_error(model, batch, labels) < FD_REL_TOL
@@ -312,20 +309,6 @@ class TestCodeWeights:
         with pytest.raises(ValueError):
             code_weights(model_new("nonlinear_full", 0))
 
-    def test_code_values_are_plain_matrix_product(self):
-        model = model_new("linear_code", 12, m=4)
-        batch = np.random.default_rng(0).uniform(-1, 1, (30, 15))
-        assert np.array_equal(nn.code_values(model, batch), batch @ code_weights(model).T)
-
-    def test_code_layer_is_exactly_linear(self):
-        model = model_new("linear_code", 13, m=3)
-        rng = np.random.default_rng(1)
-        g1 = rng.uniform(-1, 1, (5, 15))
-        g2 = rng.uniform(-1, 1, (5, 15))
-        lhs = nn.code_values(model, 0.25 * g1 + 0.5 * g2)
-        rhs = 0.25 * nn.code_values(model, g1) + 0.5 * nn.code_values(model, g2)
-        assert np.allclose(lhs, rhs, atol=1e-15)
-
 
 class TestModelSerialization:
     def test_round_trip_preserves_forward_bitwise(self, tmp_path):
@@ -353,16 +336,32 @@ class TestModelSerialization:
         assert np.array_equal(forward(model, batch), forward(loaded, batch))
         assert loaded.m is None
 
-
     @pytest.mark.parametrize(
-        "field, value", [("input_width", 14), ("architecture", "transformer")]
+        "edit",
+        [
+            lambda p: p.update(input_width=14),
+            lambda p: p.update(architecture="transformer"),
+            # Two of the four layers: forward would score with a relu unit.
+            lambda p: p.update(weights=p["weights"][:2], biases=p["biases"][:2]),
+            lambda p: p["weights"][1].pop(),
+            lambda p: p["biases"].__setitem__(0, [0.0, 0.0]),
+            lambda p: p["biases"].__setitem__(1, None),
+        ],
+        ids=[
+            "input_width-14",
+            "architecture-transformer",
+            "fewer-layers",
+            "weight-shape",
+            "bias-without-has_bias",
+            "null-bias-with-has_bias",
+        ],
     )
-    def test_hand_edited_file_rejected(self, tmp_path, field, value):
+    def test_hand_edited_file_rejected(self, tmp_path, edit):
         path = str(tmp_path / "model.json")
         save_model(model_new("linear_code", 0, m=2), path)
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        payload[field] = value
+        edit(payload)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         with pytest.raises(ValueError, match=re.escape(path)):
@@ -406,19 +405,39 @@ class TestModelSerialization:
 class TestModelValidation:
     def test_final_layer_must_be_sigmoid_width_one(self):
         with pytest.raises(ValueError):
-            MlpModel([LayerSpec(2, "sigmoid")], [np.zeros((2, 15))], [np.zeros(2)])
+            MlpModel([LayerSpec(2, "sigmoid")], np.zeros(32))
         with pytest.raises(ValueError):
-            MlpModel([LayerSpec(1, "relu")], [np.zeros((1, 15))], [np.zeros(1)])
+            MlpModel([LayerSpec(1, "relu")], np.zeros(16))
 
     def test_shape_chain_checked(self):
+        # 3 x 15 weights and 3 biases, then 1 x 3 weights and 1 bias: 52 values.
         specs = [LayerSpec(3, "relu"), LayerSpec(1, "sigmoid")]
-        with pytest.raises(ValueError):
-            MlpModel(specs, [np.zeros((3, 15)), np.zeros((1, 4))], [np.zeros(3), np.zeros(1)])
+        assert MlpModel(specs, np.zeros(52)).weights[1].shape == (1, 3)
+        for size in (51, 53, 64):  # 64: as if the second layer read the 15 inputs
+            with pytest.raises(ValueError, match="of 52 values"):
+                MlpModel(specs, np.zeros(size))
 
     def test_bias_consistency_checked(self):
         specs = [LayerSpec(1, "sigmoid", has_bias=False)]
-        with pytest.raises(ValueError):
-            MlpModel(specs, [np.zeros((1, 15))], [np.zeros(1)])
+        assert MlpModel(specs, np.zeros(15)).biases == [None]
+        with pytest.raises(ValueError, match="of 15 values"):
+            MlpModel(specs, np.zeros(16))
+
+    @pytest.mark.parametrize(
+        "params",
+        [np.zeros(16, dtype=np.float32), np.zeros(32)[::2], np.zeros((1, 16)), [0.0] * 16],
+        ids=["float32", "strided", "2-d", "list"],
+    )
+    def test_params_must_be_flat_contiguous_float64(self, params):
+        with pytest.raises(ValueError, match="1-D C-contiguous float64"):
+            MlpModel([LayerSpec(1, "sigmoid")], params)
+
+    def test_weights_and_biases_view_params(self):
+        model = model_new("linear_code", 0, m=2)
+        model.biases[1][0] = 5.0
+        assert model.params[2 * 15 + 256 * 2] == 5.0
+        for p in arrays(model):
+            assert np.shares_memory(p, model.params)
 
 
 def _golden_custom_model(seed):
@@ -429,8 +448,7 @@ def _golden_custom_model(seed):
         LayerSpec(4, "relu"),
         LayerSpec(1, "sigmoid"),
     ]
-    weights, biases = nn._init_layers(np.random.default_rng(seed), 15, specs)
-    return MlpModel(specs, weights, biases)
+    return MlpModel(specs, nn._init_params(np.random.default_rng(seed), specs))
 
 
 #: name -> (model builder, config, SHA-256 of the trained weights, biases and

@@ -31,9 +31,9 @@ def scored_dataset(separable_scores, entangled_scores):
     features[:, 0] = logit(scores)
     det = np.where(labels, -1.0, 1.0)
     ds = Dataset(features, labels, det, {"count": scores.size})
-    weights = [np.zeros((1, 15))]
-    weights[0][0, 0] = 1.0
-    model = MlpModel([LayerSpec(1, "sigmoid")], weights, [np.zeros(1)])
+    params = np.zeros(16)
+    params[0] = 1.0
+    model = MlpModel([LayerSpec(1, "sigmoid")], params)
     return model, ds
 
 
