@@ -72,16 +72,13 @@ class Dataset:
         )
 
 
-def _check_invariants(ds: Dataset) -> None:
-    if ds.manifest["count"] != len(ds):
-        raise DatasetIntegrityError(
-            f"manifest count {ds.manifest['count']} != {len(ds)} rows"
-        )
-    bad = np.flatnonzero(ds.labels != (ds.det_pt < 0.0))
-    if bad.size:  # numbered as its CSV file line, the header being line 1
-        raise DatasetIntegrityError(
-            f"row {bad[0] + 2}: label inconsistent with det_pt sign"
-        )
+def _check_invariants(ds: Dataset, path: str) -> None:
+    count = ds.manifest["count"]
+    if count != len(ds):
+        raise DatasetIntegrityError(f"{path}: manifest count {count} != {len(ds)} rows")
+    bad = np.flatnonzero(ds.labels != (ds.det_pt < 0.0)) + 2
+    if bad.size:  # numbered as CSV file lines, the header being line 1
+        raise DatasetIntegrityError(f"{path}: row {bad[0]}: label inconsistent with det_pt sign")
 
 
 def generate(
@@ -167,7 +164,7 @@ def regenerate(manifest: dict) -> Dataset:
 def split(
     ds: Dataset, fractions: Sequence[float], seed: int = 0
 ) -> tuple[Dataset, Dataset, Dataset]:
-    """Deterministic shuffled partition into train / validation / test parts."""
+    """Deterministic shuffled partition into train / validation / test parts, none empty."""
     frac = np.asarray(fractions, dtype=float)
     if frac.shape != (3,):
         raise ValueError("fractions must be three numbers (train, validation, test)")
@@ -184,6 +181,8 @@ def split(
 
     parts = []
     for role, idx in zip(("train", "validation", "test"), pieces):
+        if idx.size == 0:
+            raise ValueError(f"the {role} part of a {n}-row split is empty")
         manifest = dict(ds.manifest)
         manifest.update(
             {
@@ -191,7 +190,7 @@ def split(
                 "parent_seed": ds.manifest["seed"],
                 "split_seed": int(seed),
                 "count": int(idx.size),
-                "separable_fraction": float(np.mean(~ds.labels[idx])) if idx.size else 0.0,
+                "separable_fraction": float(np.mean(~ds.labels[idx])),
             }
         )
         parts.append(Dataset(ds.features[idx], ds.labels[idx], ds.det_pt[idx], manifest))
@@ -231,7 +230,7 @@ def _csv_blocks(ds: Dataset) -> Iterator[str]:
 
 def save(ds: Dataset, path: str) -> None:
     """Write the dataset as CSV plus a JSON manifest sidecar, atomically."""
-    _check_invariants(ds)
+    _check_invariants(ds, path)
     _write_atomic(path, _csv_blocks(ds))
     _write_atomic(
         manifest_path(path), json.dumps(ds.manifest, indent=2, sort_keys=True) + "\n"
@@ -337,5 +336,5 @@ def load(path: str) -> Dataset:
         table[:, 16].copy(),
         manifest,
     )
-    _check_invariants(ds)
+    _check_invariants(ds, path)
     return ds

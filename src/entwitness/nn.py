@@ -59,7 +59,6 @@ class MlpModel:
     layer_specs: tuple[LayerSpec, ...]
     params: np.ndarray
     architecture: str = "custom"
-    m: int | None = None
     training_config: "TrainConfig | None" = None
     best_epoch: int | None = None
     weights: list[np.ndarray] = field(init=False, repr=False)
@@ -73,10 +72,10 @@ class MlpModel:
             raise ValueError("final layer must be width 1 with sigmoid activation")
         _, self.weights, self.biases = _views(self.layer_specs, self.params)
 
-
-class Gradients(NamedTuple):
-    weights: list[np.ndarray]
-    biases: list[np.ndarray | None]
+    @property
+    def m(self) -> int | None:
+        """The number of learned measurements: the code width of a linear_code model."""
+        return self.layer_specs[0].width if self.architecture == "linear_code" else None
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,13 @@ class TrainConfig:
     max_epochs: int = 120
     patience: int = 10
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("batch_size", "patience", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class EpochRecord(NamedTuple):
@@ -184,7 +177,6 @@ def model_new(
         layer_specs=specs,
         params=_init_params(np.random.default_rng(seed), specs),
         architecture=architecture,
-        m=m if architecture == "linear_code" else None,
     )
 
 
@@ -245,33 +237,32 @@ def code_weights(model: MlpModel) -> np.ndarray:
 class Workspace:
     """Buffers that one model's training steps reuse instead of allocating.
 
-    `grad` is one flat gradient array laid out like the model's `params`, and
-    `grads` views it per layer. Activation and delta buffers are made once
-    per batch row count.
+    `grad` is the flat gradient, laid out like `params` and written through per-layer
+    views; activation and delta buffers are made once per batch row count.
     """
 
     def __init__(self, model: MlpModel):
-        self.grad = np.empty_like(model.params)
-        self.grads = Gradients(*_views(model.layer_specs, self.grad)[1:])
-        self._widths = [spec.width for spec in model.layer_specs]
+        self.grad, self._weight_grads, self._bias_grads = _views(
+            model.layer_specs, np.empty_like(model.params)
+        )
         self._buffers: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (activations, deltas), each of shape (rows, layer width)."""
         if rows not in self._buffers:
             self._buffers[rows] = tuple(
-                [np.empty((rows, width)) for width in self._widths] for _ in range(2)
+                [np.empty((rows, w.shape[0])) for w in self._weight_grads] for _ in range(2)
             )
         return self._buffers[rows]
 
 
 def loss_and_gradients(
     model: MlpModel, batch: np.ndarray, labels: np.ndarray, workspace: Workspace | None = None
-) -> tuple[float, Gradients]:
-    """Mean binary cross-entropy and its reverse-mode gradients.
+) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy and its reverse-mode gradient, flat like `model.params`.
 
-    With a workspace the gradients are views into it, overwritten by the next
-    call that uses it; without one they belong to the caller.
+    With a workspace the gradient is its `grad`, overwritten by the next call
+    that uses it; without one it belongs to the caller.
     """
     batch = _check_batch(model, batch)
     y = np.asarray(labels, dtype=float)
@@ -292,11 +283,10 @@ def loss_and_gradients(
     delta = deltas[-1]
     np.subtract(scores, y, out=delta[:, 0])
     delta /= batch.shape[0]
-    grads = workspace.grads
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=grads.weights[i])
-        if grads.biases[i] is not None:
-            np.sum(delta, axis=0, out=grads.biases[i])
+        np.matmul(delta.T, acts[i], out=workspace._weight_grads[i])
+        if workspace._bias_grads[i] is not None:
+            np.sum(delta, axis=0, out=workspace._bias_grads[i])
         if i == 0:
             break
         below = deltas[i - 1]
@@ -313,29 +303,23 @@ def loss_and_gradients(
             below *= act
             below *= np.subtract(1.0, act, out=act)
         delta = below
-    return loss, grads
+    return loss, workspace.grad
 
 
-class _Optimizer:
-    """Adam or SGD on one flat parameter array, updated in place."""
+class _Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) on one flat parameter array, updated in place."""
 
-    def __init__(self, size: int, config: TrainConfig):
-        self.config = config
-        self.step_count = 0
-        if config.optimizer == "adam":
-            self.m = np.zeros(size)
-            self.v = np.zeros(size)
-            self.scratch = np.empty(size)
+    def __init__(self, size: int, learning_rate: float):
+        self.learning_rate = learning_rate
+        self.t = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.scratch = np.empty(size)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """One update of params from grad, which is left holding scratch values."""
-        cfg = self.config
-        if cfg.optimizer == "sgd":
-            params -= np.multiply(cfg.learning_rate, grad, out=grad)
-            return
-        self.step_count += 1
-        t = self.step_count
-        scale = np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
+        self.t += 1
+        scale = np.sqrt(1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA1**self.t)
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
         # params -= ((lr*scale)*m) / (sqrt(v) + eps), each rounded as written.
         m, v, tmp = self.m, self.v, self.scratch
@@ -347,7 +331,7 @@ class _Optimizer:
         v += tmp
         np.sqrt(v, out=tmp)
         tmp += ADAM_EPS
-        np.multiply(cfg.learning_rate * scale, m, out=grad)
+        np.multiply(self.learning_rate * scale, m, out=grad)
         grad /= tmp
         params -= grad
 
@@ -366,11 +350,11 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("training and validation datasets must be non-empty")
 
-    # The optimizer and the best-epoch snapshot each act on the single flat array.
+    # Adam and the best-epoch snapshot each act on the single flat array.
     params = model.params.copy()
     work = replace(model, params=params)
     workspace = Workspace(work)
-    optimizer = _Optimizer(params.size, config)
+    optimizer = _Adam(params.size, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
 
@@ -383,10 +367,10 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss, _ = loss_and_gradients(work, x_train[idx], y_train[idx], workspace)
+            loss, grad = loss_and_gradients(work, x_train[idx], y_train[idx], workspace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            optimizer.step(params, workspace.grad)
+            optimizer.step(params, grad)
             loss_sum += loss * idx.size
         train_loss = loss_sum / n
 
@@ -423,51 +407,67 @@ def save_model(model: MlpModel, path: str) -> None:
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# Model files written while TrainConfig carried the Adam constants record them;
-# such a file loads only if it holds exactly these values.
-_RECORDED_ADAM = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
+# Old training_config entries (the update rule, the Adam constants), loaded only at these values.
+_RECORDED_ADAM = {"optimizer": "adam", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
+
+# Every entry save_model writes, with the JSON types load_model accepts for it.
+_MODEL_ENTRIES = {
+    "architecture": str, "m": (int, type(None)), "input_width": int,
+    "layer_specs": list, "weights": list, "biases": list,
+    "training_config": (dict, type(None)), "best_epoch": (int, type(None)),
+}
 
 
-def _load_training_config(path: str, recorded: dict | None) -> TrainConfig | None:
+def _load_training_config(recorded: dict | None) -> TrainConfig | None:
     if recorded is None:
         return None
     known = {f.name for f in fields(TrainConfig)}
     extra = {key: value for key, value in recorded.items() if key not in known}
     if not extra.items() <= _RECORDED_ADAM.items():
-        raise ValueError(f"{path}: unsupported training_config entries {extra}")
+        raise ValueError(f"unsupported training_config entries {extra}")
     return TrainConfig(**{key: value for key, value in recorded.items() if key in known})
 
 
-def _copy_recorded(path: str, what: str, view: np.ndarray | None, recorded) -> None:
+def _copy_recorded(what: str, view: np.ndarray | None, recorded) -> None:
     """Copy a recorded weight or bias list into its view; None stands for an absent bias."""
     value = None if recorded is None else np.array(recorded, dtype=float)
     found, needed = ("absent" if a is None else f"shape {a.shape}" for a in (value, view))
     if found != needed:
-        raise ValueError(f"{path}: {what} is {found}, layer_specs needs {needed}")
+        raise ValueError(f"{what} is {found}, layer_specs needs {needed}")
     if view is not None:
         view[...] = value
 
 
 def load_model(path: str) -> MlpModel:
-    """Read a model file; its weights and biases must match its layer_specs layer by layer."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("input_width") != 15:
-        raise ValueError(f"{path}: input_width must be 15, got {payload.get('input_width')!r}")
-    if payload.get("architecture") not in ARCHITECTURES:
-        raise ValueError(f"{path}: unknown architecture {payload.get('architecture')!r}")
-    specs = [LayerSpec(**s) for s in payload["layer_specs"]]
-    params, weights, biases = _views(specs)
-    if not len(payload["weights"]) == len(payload["biases"]) == len(specs):
-        raise ValueError(f"{path}: weights and biases must list all {len(specs)} layers")
-    for i, (w, b) in enumerate(zip(payload["weights"], payload["biases"])):
-        _copy_recorded(path, f"layer {i} weight", weights[i], w)
-        _copy_recorded(path, f"layer {i} bias", biases[i], b)
-    return MlpModel(
-        layer_specs=specs,
-        params=params,
-        architecture=payload["architecture"],
-        m=payload["m"],
-        training_config=_load_training_config(path, payload.get("training_config")),
-        best_epoch=payload["best_epoch"],
-    )
+    """Read a model file; a malformed or inconsistent one raises a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError("model file must hold a JSON object")
+        for key, kind in _MODEL_ENTRIES.items():
+            if key not in payload or not isinstance(payload[key], kind):
+                raise ValueError(f"entry {key!r} is missing or of the wrong JSON type")
+        if payload["input_width"] != 15:
+            raise ValueError(f"input_width must be 15, got {payload['input_width']!r}")
+        if payload["architecture"] not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {payload['architecture']!r}")
+        specs = [LayerSpec(**s) for s in payload["layer_specs"]]
+        params, weights, biases = _views(specs)
+        if not len(payload["weights"]) == len(payload["biases"]) == len(specs):
+            raise ValueError(f"weights and biases must list all {len(specs)} layers")
+        for i, (w, b) in enumerate(zip(payload["weights"], payload["biases"])):
+            _copy_recorded(f"layer {i} weight", weights[i], w)
+            _copy_recorded(f"layer {i} bias", biases[i], b)
+        model = MlpModel(
+            layer_specs=specs,
+            params=params,
+            architecture=payload["architecture"],
+            training_config=_load_training_config(payload["training_config"]),
+            best_epoch=payload["best_epoch"],
+        )
+        if payload["m"] != model.m:
+            raise ValueError(f"m is {payload['m']!r}, layer_specs give {model.m!r}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return model

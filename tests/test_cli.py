@@ -151,6 +151,18 @@ class TestTrain:
                  "--epochs", "2", "--out", str(tmp_path / "m.json")])
         assert err.value.code == 2
 
+    def test_empty_split_part_fails_before_training(self, tmp_path, capsys):
+        path = str(tmp_path / "d.csv")
+        run(["gen", "--n", "50", "--out", path])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(["train", "--data", path, "--split", "0.9,0.09,0.01",
+                    "--out", str(out / "e.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the test part of a 50-row split is empty\n"
+        assert os.listdir(out) == []
+
     def test_bad_split_is_usage_error(self, tmp_path, small_dataset):
         with pytest.raises(SystemExit) as err:
             run(["train", "--data", small_dataset, "--split", "0.5,0.5,0.5",
@@ -395,6 +407,18 @@ class TestWeights:
         rows = Path(out).read_text().strip().split("\n")[1:]
         matrix = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(matrix, nn.code_weights(nn.load_model(model_path)))
+
+    def test_malformed_model_file_fails(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        nn.save_model(nn.model_new("linear_code", 0, m=3), str(model_path))
+        payload = json.loads(model_path.read_text())
+        payload["weights"] = None
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["weights", "--model", str(model_path), "--out", str(out / "w.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
+        assert os.listdir(out) == []
 
     def test_full_model_rejected(self, tmp_path, small_dataset):
         model_path = str(tmp_path / "full.json")

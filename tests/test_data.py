@@ -151,6 +151,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, fractions, seed=0)
 
+    def test_empty_part_rejected(self):
+        # 1% of 50 rows rounds to none.
+        ds = generate(50, seed=0)
+        with pytest.raises(ValueError, match="^the test part of a 50-row split is empty$"):
+            split(ds, (0.9, 0.09, 0.01), seed=0)
+
 
 def _set_cell(row, col, text):
     def edit(lines):
@@ -246,7 +252,7 @@ MALFORMED = [
     pytest.param(
         lambda lines: lines.__delitem__(slice(1, None)),
         DatasetIntegrityError,
-        "manifest count 20 != 0 rows",
+        "{path}: manifest count 20 != 0 rows",
         id="header-only",
     ),
     pytest.param(
@@ -326,7 +332,7 @@ class TestSaveLoad:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(DatasetIntegrityError) as err:
             load(path)
-        assert str(err.value) == "row 4: label inconsistent with det_pt sign"
+        assert str(err.value) == f"{path}: row 4: label inconsistent with det_pt sign"
 
     def test_wrong_header_rejected(self, tmp_path):
         ds = generate(5, seed=1)
