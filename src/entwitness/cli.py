@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,6 +30,13 @@ def _measurement_count(text: str) -> int:
     value = int(text)
     if not 1 <= value <= 15:
         raise argparse.ArgumentTypeError(f"m must lie in 1..15, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -177,7 +185,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
 def _add_train_flags(parser: argparse.ArgumentParser, epochs_default: int) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=epochs_default)
     parser.add_argument("--batch", type=_positive_int, default=256)
-    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--lr", type=_positive_float, default=1e-3)
     parser.add_argument("--patience", type=_positive_int, default=10)
 
 

@@ -21,6 +21,11 @@ ARCHITECTURES = ("nonlinear_full", "linear_code", "custom")
 
 SCORE_CLAMP = 1e-12
 
+# Rows per scoring block. No block is shorter than this unless the whole input is:
+# a separate short tail would change scores (a 1-row matmul goes to gemv, which
+# rounds differently), while these blocks keep them bit-identical to one pass.
+_SCORE_ROWS = 1024
+
 FULL_ENCODER_WIDTHS = (384, 192, 8)  # last entry is the linear code width
 LINEAR_HIDDEN_WIDTHS = (256, 128)
 
@@ -87,8 +92,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         for name in ("batch_size", "patience", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -219,12 +224,29 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _score_blocks(n: int) -> list[slice]:
+    """Consecutive row slices covering 0..n: _SCORE_ROWS rows each, the remainder
+    folded into the last, so no block is shorter than _SCORE_ROWS unless n is."""
+    bounds = [*range(0, _SCORE_ROWS * max(n // _SCORE_ROWS, 1), _SCORE_ROWS), n]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Entanglement scores in (0, 1), one per feature row."""
-    a = _check_batch(model, batch)
-    for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
-        a = _layer(a, w, b, spec.activation)
-    return a[:, 0]
+    """Entanglement scores in [0, 1], one per feature row.
+
+    Rows are scored in `_score_blocks`, so memory stays bounded whatever the row
+    count. With single-threaded BLAS every score equals that of one whole-matrix
+    pass bit for bit. Multi-threaded OpenBLAS may round a few rows of a width-1
+    layer differently, in one pass as in blocks, depending on the row count.
+    """
+    x = _check_batch(model, batch)
+    scores = np.empty(x.shape[0])
+    for rows in _score_blocks(x.shape[0]):
+        a = x[rows]
+        for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
+            a = _layer(a, w, b, spec.activation)
+        scores[rows] = a[:, 0]
+    return scores
 
 
 def code_weights(model: MlpModel) -> np.ndarray:

@@ -205,9 +205,14 @@ class TestFailFast:
             ["--arch", "full", "--m", "5"],
             ["--arch", "full", "--hidden", ""],
             ["--arch", "full", "--hidden", "16"],
+            ["--lr", "0"],
+            ["--lr", "-0.001"],
+            ["--lr", "nan"],
+            ["--lr", "inf"],
         ],
         ids=["threshold-above-1", "threshold-0", "linear-without-m", "m-0", "m-16", "hidden-0",
-             "full-with-m", "full-hidden-empty", "full-hidden-one-width"],
+             "full-with-m", "full-hidden-empty", "full-hidden-one-width",
+             "lr-0", "lr-negative", "lr-nan", "lr-inf"],
     )
     def test_train_rejects(self, tmp_path, small_dataset, flags):
         out_dir = tmp_path / "out"
@@ -220,8 +225,9 @@ class TestFailFast:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--m", "0,3"], ["--m", "3,16"], ["--m", "2", "--sizes", "300,0,300"]],
-        ids=["m-0", "m-16", "size-0"],
+        [["--m", "0,3"], ["--m", "3,16"], ["--m", "2", "--sizes", "300,0,300"],
+         ["--m", "2", "--lr", "0"], ["--m", "2", "--lr", "nan"]],
+        ids=["m-0", "m-16", "size-0", "lr-0", "lr-nan"],
     )
     def test_sweep_rejects(self, tmp_path, flags):
         out_dir = tmp_path / "out"

@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from types import SimpleNamespace
 
 from entwitness import nn
 from entwitness.nn import (
+    FULL_ENCODER_WIDTHS,
     LayerSpec,
     MlpModel,
     TrainConfig,
@@ -132,6 +137,75 @@ class TestForward:
             forward(model, np.zeros((5, 14)))
         with pytest.raises(ValueError):
             forward(model, np.zeros(15))
+
+
+#: Row counts around the block edges, plus the validation sizes of the benchmark
+#: (4000) and of the acceptance suite (25000).
+SCORE_BLOCK_ROWS = (0, 1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 4000, 25000)
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blocked_score_mismatches():
+    """Each model and row count at which `forward` differs in any bit from one
+    whole-matrix pass through every layer, on perturbed weights."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (max(SCORE_BLOCK_ROWS), 15))
+    models = [model_new("nonlinear_full", 1)]
+    models += [model_new("linear_code", 2, m=m) for m in (1, 3, 15)]
+    found = []
+    for model in models:
+        model.params += 0.1 * rng.standard_normal(model.params.size)
+        for n in SCORE_BLOCK_ROWS:
+            a = x[:n]
+            for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
+                a = nn._layer(a, w, b, spec.activation)
+            if not np.array_equal(forward(model, x[:n]).view(np.int64), a[:, 0].view(np.int64)):
+                found.append(f"{model.architecture} m={model.m} n={n}")
+    return found
+
+
+class TestScoreBlocks:
+    @pytest.mark.parametrize("n", [*SCORE_BLOCK_ROWS, 3071, 3072, 50_000])
+    def test_blocks_cover_rows_in_order(self, n):
+        blocks = nn._score_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [block.stop - block.start for block in blocks]
+        assert min(sizes) >= nn._SCORE_ROWS or (n < 2 * nn._SCORE_ROWS and sizes == [n])
+        assert max(sizes) < 2 * nn._SCORE_ROWS or sizes == [n]
+
+    def test_scores_equal_one_whole_matrix_pass(self):
+        """Bit for bit, in a child interpreter with single-threaded BLAS.
+
+        Multi-threaded OpenBLAS splits the rows of a width-1 layer (the sigmoid
+        output, the m=1 code) between threads, and a thread's last rows outside a
+        group of four are summed in another order. Those rows depend on the call's
+        row count, so neither one whole-matrix pass nor the blocks give the same
+        last bit at every thread count: at two threads n=2049 differs.
+        """
+        src = os.path.dirname(os.path.dirname(nn.__file__))
+        env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_nn; print(*test_nn.blocked_score_mismatches())"],
+            cwd=os.path.dirname(__file__), env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == []
+
+    def test_memory_bounded(self):
+        """At most two activations of the largest block are alive at once."""
+        model = model_new("nonlinear_full", 0)
+        x = np.random.default_rng(0).uniform(-1, 1, (50_000, 15))
+        tracemalloc.start()
+        try:
+            scores = forward(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest_block = 2 * nn._SCORE_ROWS - 1
+        assert peak - scores.nbytes < 2 * largest_block * max(FULL_ENCODER_WIDTHS) * 8
 
 
 class TestLossAndGradients:
@@ -260,8 +334,9 @@ class TestTrain:
         assert err.value.epoch >= 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for learning_rate in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(learning_rate=learning_rate)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
