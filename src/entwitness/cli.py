@@ -26,6 +26,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _measurement_count(text: str) -> int:
     value = int(text)
     if not 1 <= value <= 15:
@@ -48,11 +55,14 @@ def _open_unit(text: str) -> float:
 
 
 def _list_of(item):
-    """Parser of comma-separated values, each checked by `item`."""
+    """Parser of comma-separated values, each checked by `item`; an empty item is an error."""
 
     def parse(text: str) -> list:
+        parts = text.split(",")
+        if not all(parts):
+            raise argparse.ArgumentTypeError(f"empty item in {text!r}")
         try:
-            return [item(part) for part in text.split(",") if part]
+            return [item(part) for part in parts]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a labeled dataset")
     gen.add_argument("--n", type=_positive_int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--symmetry", choices=data.SYMMETRY_MODES, default="none")
     gen.add_argument("--rank", type=int, choices=(1, 2, 3, 4), default=4)
     gen.add_argument("--balance", action="store_true")
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--arch", choices=("full", "linear"), default="full")
     train.add_argument("--m", type=_measurement_count, default=None)
     train.add_argument("--hidden", type=_list_of(_positive_int), default=None)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--split", type=_fraction_triple, default=(0.8, 0.1, 0.1))
     train.add_argument("--threshold", type=_open_unit, default=0.5)
     _add_train_flags(train, epochs_default=120)
@@ -222,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--symmetry", choices=data.SYMMETRY_MODES, default="none")
     sweep.add_argument("--sizes", type=_list_of(_positive_int), default=[50_000, 10_000, 20_000])
     sweep.add_argument("--seeds", type=_positive_int, default=3)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_seed, default=0)
     sweep.add_argument("--rank", type=int, choices=(1, 2, 3, 4), default=4)
     _add_train_flags(sweep, epochs_default=60)
     sweep.add_argument("--out", required=True)
@@ -241,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep" and len(args.sizes) != 3:
         parser.error("--sizes needs three comma-separated counts")
-    if args.command == "sweep" and not args.m:
-        parser.error("--m needs at least one value")
     if args.command == "train" and args.arch == "linear" and args.m is None:
         parser.error("--m is required when --arch linear")
     if args.command == "train" and args.arch == "full":

@@ -24,7 +24,12 @@ SCORE_CLAMP = 1e-12
 # Rows per scoring block. No block is shorter than this unless the whole input is:
 # a separate short tail would change scores (a 1-row matmul goes to gemv, which
 # rounds differently), while these blocks keep them bit-identical to one pass.
-_SCORE_ROWS = 1024
+# Blocks stay under 1024 rows, where OpenBLAS runs a width-1 layer of the default
+# architectures on one thread, so scores do not depend on the thread count.
+_SCORE_ROWS = 512
+
+# Elements per slice of an Adam step: its five arrays' slices stay in cache together.
+_ADAM_SLICE = 16_384
 
 FULL_ENCODER_WIDTHS = (384, 192, 8)  # last entry is the linear code width
 LINEAR_HIDDEN_WIDTHS = (256, 128)
@@ -236,8 +241,13 @@ def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
     Rows are scored in `_score_blocks`, so memory stays bounded whatever the row
     count. With single-threaded BLAS every score equals that of one whole-matrix
-    pass bit for bit. Multi-threaded OpenBLAS may round a few rows of a width-1
-    layer differently, in one pass as in blocks, depending on the row count.
+    pass bit for bit. Blocks of at most 1023 rows also keep the width-1 layers of
+    the default widths (the sigmoid output, the m=1 code) on one OpenBLAS thread,
+    so scores do not depend on the thread count; measured with OpenBLAS 0.3.31,
+    which splits the 384-input output layer of `nonlinear_full` from about 1200
+    rows. A wider custom output layer, or a training batch above about 1200 rows
+    on `nonlinear_full`, may still be split across threads and round a few rows
+    differently.
     """
     x = _check_batch(model, batch)
     scores = np.empty(x.shape[0])
@@ -336,26 +346,35 @@ class _Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.scratch = np.empty(size)
+        self.scratch = np.empty(min(size, _ADAM_SLICE))
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """One update of params from grad, which is left holding scratch values."""
+        """One update of params from grad, which is left holding scratch values.
+
+        Walks the arrays in `_ADAM_SLICE`-element slices; every element gets the
+        same operations in the same order as in one whole-array pass.
+        """
         self.t += 1
-        scale = np.sqrt(1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA1**self.t)
+        step_size = self.learning_rate * (
+            np.sqrt(1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA1**self.t)
+        )
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        # params -= ((lr*scale)*m) / (sqrt(v) + eps), each rounded as written.
-        m, v, tmp = self.m, self.v, self.scratch
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
-        v *= ADAM_BETA2
-        np.multiply(1.0 - ADAM_BETA2, grad, out=tmp)
-        tmp *= grad
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp += ADAM_EPS
-        np.multiply(self.learning_rate * scale, m, out=grad)
-        grad /= tmp
-        params -= grad
+        # params -= (step_size*m) / (sqrt(v) + eps), each rounded as written.
+        for start in range(0, params.size, _ADAM_SLICE):
+            part = slice(start, start + _ADAM_SLICE)
+            p, g, m, v = params[part], grad[part], self.m[part], self.v[part]
+            tmp = self.scratch[: g.size]
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp += ADAM_EPS
+            np.multiply(step_size, m, out=g)
+            g /= tmp
+            p -= g
 
 
 def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> TrainResult:

@@ -209,10 +209,15 @@ class TestFailFast:
             ["--lr", "-0.001"],
             ["--lr", "nan"],
             ["--lr", "inf"],
+            ["--seed", "-5"],
+            ["--arch", "linear", "--m", "3", "--hidden", "8,,4"],
+            ["--arch", "linear", "--m", "3", "--hidden", ","],
+            ["--arch", "linear", "--m", "3", "--hidden", ""],
         ],
         ids=["threshold-above-1", "threshold-0", "linear-without-m", "m-0", "m-16", "hidden-0",
              "full-with-m", "full-hidden-empty", "full-hidden-one-width",
-             "lr-0", "lr-negative", "lr-nan", "lr-inf"],
+             "lr-0", "lr-negative", "lr-nan", "lr-inf", "seed-negative",
+             "hidden-empty-item", "hidden-comma", "linear-hidden-empty"],
     )
     def test_train_rejects(self, tmp_path, small_dataset, flags):
         out_dir = tmp_path / "out"
@@ -226,8 +231,10 @@ class TestFailFast:
     @pytest.mark.parametrize(
         "flags",
         [["--m", "0,3"], ["--m", "3,16"], ["--m", "2", "--sizes", "300,0,300"],
-         ["--m", "2", "--lr", "0"], ["--m", "2", "--lr", "nan"]],
-        ids=["m-0", "m-16", "size-0", "lr-0", "lr-nan"],
+         ["--m", "2", "--lr", "0"], ["--m", "2", "--lr", "nan"], ["--m", "2", "--seed", "-2"],
+         ["--m", "2,,3"], ["--m", ""], ["--m", "2", "--sizes", "300,100,100,"]],
+        ids=["m-0", "m-16", "size-0", "lr-0", "lr-nan", "seed-negative",
+             "m-empty-item", "m-empty", "sizes-trailing-comma"],
     )
     def test_sweep_rejects(self, tmp_path, flags):
         out_dir = tmp_path / "out"
@@ -236,6 +243,20 @@ class TestFailFast:
             run(["sweep", *flags, "--seeds", "1", "--epochs", "1",
                  "--out", str(out_dir / "s.csv")])
         assert err.value.code == 2
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gen", "--n", "10"], ["train", "--data", "missing.csv"], ["sweep", "--m", "2"]],
+        ids=["gen", "train", "sweep"],
+    )
+    def test_negative_seed_named(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run([*command, "--seed", "-1", "--out", str(out_dir / "o.csv")])
+        assert err.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert os.listdir(out_dir) == []
 
 

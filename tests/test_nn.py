@@ -141,9 +141,40 @@ class TestForward:
 
 #: Row counts around the block edges, plus the validation sizes of the benchmark
 #: (4000) and of the acceptance suite (25000).
-SCORE_BLOCK_ROWS = (0, 1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 4000, 25000)
+SCORE_BLOCK_ROWS = (0, 1, 2, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4000, 25000)
+
+#: Row counts at which a scoring block of 1024 rows or more would reach 1206 rows,
+#: from where OpenBLAS splits the 384-input `nonlinear_full` output layer between
+#: two threads, plus every split size the benchmark and the acceptance suite score.
+THREAD_INVARIANCE_ROWS = (
+    1206, 1207, 1500, 1699, 1850, 2046, 2047, 2049, 3001,
+    4000, 6000, 10_000, 20_000, 25_000, 50_000,
+)
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_child(code, threads):
+    """Standard output of `code`, run in this directory by a child interpreter
+    whose BLAS uses `threads` threads."""
+    src = os.path.dirname(os.path.dirname(nn.__file__))
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=os.path.dirname(__file__), env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def perturbed_models(rng):
+    """`nonlinear_full` and `linear_code` m = 1, 3, 15, with perturbed weights."""
+    models = [model_new("nonlinear_full", 1)]
+    models += [model_new("linear_code", 2, m=m) for m in (1, 3, 15)]
+    for model in models:
+        model.params += 0.1 * rng.standard_normal(model.params.size)
+    return models
 
 
 def blocked_score_mismatches():
@@ -151,11 +182,8 @@ def blocked_score_mismatches():
     whole-matrix pass through every layer, on perturbed weights."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, (max(SCORE_BLOCK_ROWS), 15))
-    models = [model_new("nonlinear_full", 1)]
-    models += [model_new("linear_code", 2, m=m) for m in (1, 3, 15)]
     found = []
-    for model in models:
-        model.params += 0.1 * rng.standard_normal(model.params.size)
+    for model in perturbed_models(rng):
         for n in SCORE_BLOCK_ROWS:
             a = x[:n]
             for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
@@ -163,6 +191,19 @@ def blocked_score_mismatches():
             if not np.array_equal(forward(model, x[:n]).view(np.int64), a[:, 0].view(np.int64)):
                 found.append(f"{model.architecture} m={model.m} n={n}")
     return found
+
+
+def score_digests():
+    """One line per model and row count of THREAD_INVARIANCE_ROWS: the case and
+    the SHA-256 of its `forward` scores, on perturbed weights."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (max(THREAD_INVARIANCE_ROWS), 15))
+    lines = []
+    for model in perturbed_models(rng):
+        for n in THREAD_INVARIANCE_ROWS:
+            digest = hashlib.sha256(forward(model, x[:n]).tobytes()).hexdigest()
+            lines.append(f"{model.architecture}:m={model.m}:n={n} {digest}")
+    return lines
 
 
 class TestScoreBlocks:
@@ -178,21 +219,20 @@ class TestScoreBlocks:
     def test_scores_equal_one_whole_matrix_pass(self):
         """Bit for bit, in a child interpreter with single-threaded BLAS.
 
-        Multi-threaded OpenBLAS splits the rows of a width-1 layer (the sigmoid
-        output, the m=1 code) between threads, and a thread's last rows outside a
-        group of four are summed in another order. Those rows depend on the call's
-        row count, so neither one whole-matrix pass nor the blocks give the same
-        last bit at every thread count: at two threads n=2049 differs.
+        With more threads OpenBLAS may split the rows of a large enough width-1
+        layer between threads and sum a thread's last rows outside a group of four
+        in another order, so one whole-matrix pass of 1206 rows or more through
+        the `nonlinear_full` output layer need not give the same last bit.
         """
-        src = os.path.dirname(os.path.dirname(nn.__file__))
-        env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        child = subprocess.run(
-            [sys.executable, "-c", "import test_nn; print(*test_nn.blocked_score_mismatches())"],
-            cwd=os.path.dirname(__file__), env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.split() == []
+        code = "import test_nn; print(*test_nn.blocked_score_mismatches())"
+        assert run_child(code, threads=1).split() == []
+
+    def test_scores_do_not_depend_on_blas_thread_count(self):
+        """Byte-equal scores from child interpreters with one and with two BLAS threads."""
+        code = "import test_nn; print(*test_nn.score_digests(), sep='\\n')"
+        one, two = (run_child(code, threads).splitlines() for threads in (1, 2))
+        assert len(one) == 4 * len(THREAD_INVARIANCE_ROWS)
+        assert [a for a, b in zip(one, two) if a != b] == []
 
     def test_memory_bounded(self):
         """At most two activations of the largest block are alive at once."""
@@ -349,6 +389,40 @@ class TestTrain:
         assert [f.name for f in dataclasses.fields(MlpModel) if f.init] == [
             "layer_specs", "params", "architecture", "training_config", "best_epoch"
         ]
+
+
+def whole_array_adam_step(optimizer, params, grad):
+    """The one-pass Adam update over whole arrays that `_Adam.step` slices."""
+    optimizer.t += 1
+    scale = np.sqrt(1.0 - nn.ADAM_BETA2**optimizer.t) / (1.0 - nn.ADAM_BETA1**optimizer.t)
+    m, v, tmp = optimizer.m, optimizer.v, np.empty_like(params)
+    m *= nn.ADAM_BETA1
+    m += np.multiply(1.0 - nn.ADAM_BETA1, grad, out=tmp)
+    v *= nn.ADAM_BETA2
+    np.multiply(1.0 - nn.ADAM_BETA2, grad, out=tmp)
+    tmp *= grad
+    v += tmp
+    np.sqrt(v, out=tmp)
+    tmp += nn.ADAM_EPS
+    np.multiply(optimizer.learning_rate * scale, m, out=grad)
+    grad /= tmp
+    params -= grad
+
+
+class TestAdam:
+    @pytest.mark.parametrize("size", [1, 16_383, 16_384, 16_385, 157_833])
+    def test_blocked_step_equals_whole_array_update(self, size):
+        rng = np.random.default_rng(size)
+        params = rng.standard_normal(size)
+        blocked, whole = nn._Adam(size, 1e-3), nn._Adam(size, 1e-3)
+        blocked_params, whole_params = params.copy(), params.copy()
+        for _ in range(5):
+            grad = rng.standard_normal(size) * rng.choice([1e-6, 1.0, 1e3], size)
+            blocked.step(blocked_params, grad.copy())
+            whole_array_adam_step(whole, whole_params, grad.copy())
+        for a, b in [(blocked_params, whole_params), (blocked.m, whole.m), (blocked.v, whole.v)]:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert not np.array_equal(blocked_params, params)
 
 
 class TestCodeWeights:
