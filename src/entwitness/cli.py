@@ -74,6 +74,8 @@ def _fraction_triple(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated fractions")
     values = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError("fractions must be finite")
     if any(v <= 0 for v in values) or abs(sum(values) - 1.0) > 1e-9:
         raise argparse.ArgumentTypeError("fractions must be positive and sum to 1")
     return values

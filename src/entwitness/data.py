@@ -30,7 +30,9 @@ STREAM_SHUFFLE = 2
 STREAM_SPLIT = 3
 STREAM_BALANCE = 4
 
-_CHUNK = 8192
+# Rows per generation and CSV block. The output bytes do not depend on it;
+# 2048 rows keep each block's temporaries near 1 MB.
+_CHUNK = 2048
 
 # One CSV row: 15 features, the 0/1 label, det_pt.
 _ROW_FORMAT = ",".join(["%.17g"] * 15) + ",%d,%.17g\n"
@@ -168,6 +170,8 @@ def split(
     frac = np.asarray(fractions, dtype=float)
     if frac.shape != (3,):
         raise ValueError("fractions must be three numbers (train, validation, test)")
+    if not np.isfinite(frac).all():
+        raise ValueError(f"fractions must be finite, got {fractions}")
     if np.any(frac <= 0.0):
         raise ValueError(f"fractions must be positive, got {fractions}")
     if abs(frac.sum() - 1.0) > 1e-9:

@@ -42,6 +42,41 @@ _PAULI_PRODUCTS = np.stack(
 )
 _PAULI_15 = _PAULI_PRODUCTS[1:]
 
+
+def _gather_table(coefs: np.ndarray) -> np.ndarray:
+    """Rows of a [x; -x; 0] stack whose sums give coefs @ x, term by term in input order.
+
+    `coefs` is (outputs, inputs) with entries in {0, 1, -1} and at most four
+    nonzeros per output; the table is (4, outputs), padded with the zero row.
+    """
+    outputs, inputs = coefs.shape
+    table = np.full((4, outputs), 2 * inputs)
+    for out, row in enumerate(coefs):
+        (cols,) = np.nonzero(row)
+        table[: cols.size, out] = np.where(row[cols] > 0, cols, cols + inputs)
+    return table
+
+
+def _complex_coefs(z: np.ndarray) -> np.ndarray:
+    """Complex coefficients z (outputs, inputs) as real ones on interleaved (re, im) parts."""
+    coefs = np.zeros((2 * z.shape[0], 2 * z.shape[1]))
+    coefs[0::2, 0::2] = z.real
+    coefs[0::2, 1::2] = -z.imag
+    coefs[1::2, 0::2] = z.imag
+    coefs[1::2, 1::2] = z.real
+    return coefs
+
+
+# Each Pauli product has one nonzero per row, one of +-1 and +-i, so both maps
+# are exact sums of at most four signed terms: +-1 or +-i flips a sign or swaps
+# real and imaginary parts exactly, and a zero term never changes a running sum
+# that starts at +0. Added in the einsums' order, (i, j) row-major for a feature
+# and k for a matrix entry, they equal "nij,kji->nk" and "nk,kij->nij" bytewise.
+_FEATURE_TABLE = _gather_table(
+    _complex_coefs(np.swapaxes(_PAULI_15, 1, 2).reshape(15, 16))
+)
+_MATRIX_TABLE = _gather_table(_complex_coefs(_PAULI_15.reshape(15, 16).T)[:, 0::2])
+
 # Feature positions used by the cylindrical twirl.
 _G0Z, _GZ0, _GZZ = 2, 11, 14
 _GXX, _GYY = 4, 9
@@ -70,6 +105,8 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has a non-finite entry")
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(mat) - 1.0) > TRACE_TOL:
@@ -116,14 +153,29 @@ def _random_density_matrices(
     return rho / traces[:, None, None]
 
 
+def _signed_sums(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum the `table` terms of the (k, n) input rows, starting from +0 like einsum."""
+    k, n = rows.shape
+    stack = np.empty((2 * k + 1, n))
+    stack[:k] = rows
+    np.negative(stack[:k], out=stack[k : 2 * k])
+    stack[2 * k] = 0.0
+    out = np.zeros((table.shape[1], n))
+    for rows_of_term in table:
+        out += stack[rows_of_term]
+    return out
+
+
 def _features_of_matrices(mats: np.ndarray) -> np.ndarray:
-    raw = np.einsum("nij,kji->nk", mats, _PAULI_15)
-    worst = np.abs(raw.imag).max()
+    n = mats.shape[0]
+    parts = np.ascontiguousarray(mats, dtype=complex).reshape(n, 16).view(float).T
+    raw = _signed_sums(_FEATURE_TABLE, parts)
+    worst = np.abs(raw[1::2]).max()
     if worst > IMAG_TOL:
         raise NumericIntegrityError(
             f"Pauli expectation has imaginary part {worst:.3e} above {IMAG_TOL:.0e}"
         )
-    return np.ascontiguousarray(raw.real)
+    return np.ascontiguousarray(raw[0::2].T)
 
 
 def features_from_state(rho: DensityMatrix) -> np.ndarray:
@@ -132,7 +184,9 @@ def features_from_state(rho: DensityMatrix) -> np.ndarray:
 
 
 def _matrices_from_features(gammas: np.ndarray) -> np.ndarray:
-    mats = np.einsum("nk,kij->nij", gammas.astype(float), _PAULI_15)
+    n = gammas.shape[0]
+    parts = _signed_sums(_MATRIX_TABLE, np.asarray(gammas, dtype=float).T)
+    mats = np.ascontiguousarray(parts.T).view(complex).reshape(n, 4, 4)
     mats += np.eye(4)
     return mats / 4.0
 
@@ -146,6 +200,8 @@ def state_from_features(gamma: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (15,):
         raise ValueError(f"expected 15 features, got shape {gamma.shape}")
+    if not np.isfinite(gamma).all():
+        raise ValueError("features must be finite")
     return _matrices_from_features(gamma[None, :])[0]
 
 

@@ -213,11 +213,15 @@ class TestFailFast:
             ["--arch", "linear", "--m", "3", "--hidden", "8,,4"],
             ["--arch", "linear", "--m", "3", "--hidden", ","],
             ["--arch", "linear", "--m", "3", "--hidden", ""],
+            ["--split", "0.8,0.1,nan"],
+            ["--split", "nan,0.5,0.5"],
+            ["--split", "0.8,0.1,inf"],
         ],
         ids=["threshold-above-1", "threshold-0", "linear-without-m", "m-0", "m-16", "hidden-0",
              "full-with-m", "full-hidden-empty", "full-hidden-one-width",
              "lr-0", "lr-negative", "lr-nan", "lr-inf", "seed-negative",
-             "hidden-empty-item", "hidden-comma", "linear-hidden-empty"],
+             "hidden-empty-item", "hidden-comma", "linear-hidden-empty",
+             "split-nan-last", "split-nan-first", "split-inf"],
     )
     def test_train_rejects(self, tmp_path, small_dataset, flags):
         out_dir = tmp_path / "out"
@@ -257,6 +261,17 @@ class TestFailFast:
             run([*command, "--seed", "-1", "--out", str(out_dir / "o.csv")])
         assert err.value.code == 2
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize("fractions", ["0.8,0.1,nan", "nan,0.5,0.5"])
+    def test_non_finite_split_named(self, tmp_path, capsys, fractions):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run(["train", "--data", "missing.csv", "--split", fractions,
+                 "--out", str(out_dir / "m.json")])
+        assert err.value.code == 2
+        assert "argument --split: fractions must be finite" in capsys.readouterr().err
         assert os.listdir(out_dir) == []
 
 

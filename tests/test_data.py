@@ -26,6 +26,18 @@ from entwitness.data import (
 COL = {name: k for k, name in enumerate(quantum.FEATURE_NAMES)}
 
 
+def same_bytes(ds, reference, rows):
+    """Features, labels and det_pt of `ds` equal `reference[rows]` byte for byte."""
+    return all(
+        mine.tobytes() == theirs[rows].tobytes()
+        for mine, theirs in (
+            (ds.features, reference.features),
+            (ds.labels, reference.labels),
+            (ds.det_pt, reference.det_pt),
+        )
+    )
+
+
 class TestGenerate:
     def test_deterministic(self):
         a = generate(1000, seed=7)
@@ -44,6 +56,21 @@ class TestGenerate:
             assert ds.det_pt[i] == pytest.approx(
                 quantum.det_partial_transpose(singles[i]), abs=1e-15
             )
+
+    @pytest.mark.parametrize("symmetry", data.SYMMETRY_MODES)
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_output_does_not_depend_on_chunk_size(self, monkeypatch, symmetry, rank):
+        reference = generate(2100, symmetry=symmetry, seed=13, rank=rank)
+        for chunk in (1, 7, 2048, 8192):
+            monkeypatch.setattr(data, "_CHUNK", chunk)
+            ds = generate(2100, symmetry=symmetry, seed=13, rank=rank)
+            assert same_bytes(ds, reference, slice(None)), chunk
+
+    @pytest.mark.parametrize("symmetry", data.SYMMETRY_MODES)
+    def test_shorter_draw_is_a_prefix(self, symmetry):
+        short = generate(5000, symmetry=symmetry, seed=17)
+        long = generate(9000, symmetry=symmetry, seed=17)
+        assert same_bytes(short, long, slice(5000))
 
     def test_labels_match_det_sign(self):
         ds = generate(5000, seed=1)
@@ -144,12 +171,21 @@ class TestSplit:
             assert part.manifest["count"] == len(part)
 
     @pytest.mark.parametrize(
-        "fractions", [(0.5, 0.5, 0.5), (0.8, 0.2, -0.0), (0.9, 0.05, 0.02), (0.8, 0.2)]
+        "fractions",
+        [(0.5, 0.5, 0.5), (0.8, 0.2, -0.0), (0.9, 0.05, 0.02), (0.8, 0.2),
+         (0.8, 0.1, float("nan")), (float("nan"), 0.5, 0.5), (float("inf"), 0.5, 0.5)],
     )
     def test_invalid_fractions(self, fractions):
         ds = generate(50, seed=0)
-        with pytest.raises(ValueError):
-            split(ds, fractions, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                split(ds, fractions, seed=0)
+
+    @pytest.mark.parametrize("fractions", [(0.8, 0.1, float("nan")), (float("-inf"), 1.0, 1.0)])
+    def test_non_finite_fractions_named(self, fractions):
+        with pytest.raises(ValueError, match="^fractions must be finite"):
+            split(generate(50, seed=0), fractions, seed=0)
 
     def test_empty_part_rejected(self):
         # 1% of 50 rows rounds to none.
@@ -189,8 +225,9 @@ def saved20(tmp_path):
 
 
 # SHA-256 of the CSV and the manifest that save(generate(8193, seed=21)) writes,
-# as recorded with the per-row writer the block formatter replaced. 8193 rows
-# are one full _CHUNK block plus one row.
+# as recorded with the per-row writer the block formatter replaced, and with
+# 8192-row generation chunks before they became 2048 rows. 8193 rows end in a
+# one-row block at either size.
 GOLDEN_DIGESTS = {
     "cylindrical": (
         "f118a1cee8396f7d011942e9dd653312c23ff5d2e5b51ac5fbad441911497082",

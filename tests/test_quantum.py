@@ -1,5 +1,7 @@
 """Tests for state representation, featurization, PPT labeling and the twirl."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,75 @@ class TestFeatures:
             quantum._features_of_matrices(crooked[None])
 
 
+def einsum_expectations(mats):
+    """The dense complex map the sparse feature map replaced, imaginary parts kept."""
+    return np.einsum("nij,kji->nk", mats, quantum._PAULI_15)
+
+
+def einsum_matrices(gammas):
+    """The dense complex map the sparse matrix map replaced."""
+    mats = np.einsum("nk,kij->nij", gammas.astype(float), quantum._PAULI_15)
+    mats += np.eye(4)
+    return mats / 4.0
+
+
+def feature_sets(n, seed):
+    """Features of random states of rank 1-4, twirled, negated and rounded.
+
+    Twirled and rounded rows hold exact zeros, and negating them gives -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    for rank in (1, 2, 3, 4):
+        mats = quantum._random_density_matrices(rng, n, rank)
+        gammas = einsum_expectations(mats).real
+        twirled = quantum._twirl_features(gammas)
+        for variant in (gammas, twirled, -gammas, -twirled):
+            yield variant
+            yield np.round(variant, 1)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestExactPauliMaps:
+    """The gathered sums equal the einsums they replaced, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8192])
+    def test_matrices_equal_einsum(self, n):
+        for gammas in feature_sets(n, seed=n):
+            mats = quantum._matrices_from_features(gammas)
+            reference = einsum_matrices(gammas)
+            assert same_bytes(mats.real.copy(), reference.real.copy())
+            assert same_bytes(mats.imag.copy(), reference.imag.copy())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8192])
+    def test_features_equal_einsum(self, n):
+        rng = np.random.default_rng(n + 1)
+        states = [quantum._random_density_matrices(rng, n, rank) for rank in (1, 2, 3, 4)]
+        rebuilt = [einsum_matrices(gammas) for gammas in feature_sets(n, seed=n)]
+        # Negating rebuilt matrices turns their exact zeros into -0.0.
+        for mats in states + rebuilt + [-mats for mats in rebuilt]:
+            reference = np.ascontiguousarray(einsum_expectations(mats).real)
+            assert same_bytes(quantum._features_of_matrices(mats), reference)
+
+    def test_per_state_api_equals_einsum(self):
+        rng = np.random.default_rng(11)
+        for rank in (1, 2, 3, 4):
+            rho = random_density_matrix(rng, rank)
+            gamma = features_from_state(rho)
+            assert same_bytes(gamma, einsum_expectations(rho.matrix[None])[0].real.copy())
+            assert same_bytes(state_from_features(gamma), einsum_matrices(gamma[None])[0])
+
+    def test_non_hermitian_raises_with_einsum_residue(self):
+        crooked = np.eye(4, dtype=complex) / 4
+        crooked[0, 1] = 0.3j
+        crooked[2, 3] = 0.2 - 0.1j
+        worst = np.abs(einsum_expectations(crooked[None]).imag).max()
+        with pytest.raises(NumericIntegrityError, match=f"imaginary part {worst:.3e} "):
+            quantum._features_of_matrices(crooked[None])
+
+
 class TestStateFromFeatures:
     def test_zero_features_give_maximally_mixed(self):
         assert np.allclose(state_from_features(np.zeros(15)), np.eye(4) / 4)
@@ -154,6 +225,15 @@ class TestStateFromFeatures:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             state_from_features(np.zeros(14))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        gamma = np.zeros(15)
+        gamma[4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features must be finite$"):
+                state_from_features(gamma)
 
 
 class TestPartialTranspose:
@@ -327,6 +407,21 @@ class TestDensityMatrixValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{(0, 1): np.nan, (1, 0): np.nan}, {(0, 1): np.inf, (1, 0): np.inf},
+         {(0, 0): np.nan}, {(2, 3): complex(0, np.nan), (3, 2): complex(0, np.nan)}],
+        ids=["nan-pair", "inf-pair", "nan-diagonal", "nan-imaginary-pair"],
+    )
+    def test_rejects_non_finite(self, entries):
+        mat = np.eye(4, dtype=complex) / 4
+        for index, value in entries.items():
+            mat[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^density matrix has a non-finite entry$"):
+                DensityMatrix(mat)
 
     def test_matrix_is_read_only(self):
         rho = werner_state(0.5)
