@@ -123,9 +123,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    ds = data.load(args.data)
+    # The loaded corpus is not kept: only its three parts stay alive through training.
     train_ds, val_ds, test_ds = data.split(
-        ds, args.split, data.derived_seed(args.seed, data.STREAM_SPLIT)
+        data.load(args.data), args.split, data.derived_seed(args.seed, data.STREAM_SPLIT)
     )
     architecture = "nonlinear_full" if args.arch == "full" else "linear_code"
     model = nn.model_new(

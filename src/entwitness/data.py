@@ -7,10 +7,12 @@ manifest that pins everything needed to regenerate it bit-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -264,30 +266,52 @@ def _line_count(path: str) -> int | None:
     return newlines + (last != b"\n")
 
 
-def _parse_table(path: str, handle: TextIO) -> np.ndarray | None:
-    """The (rows, 17) body after the header, or None if np.loadtxt cannot vouch for it.
+def _parse_table(
+    path: str, handle: TextIO
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Features, labels and det_pt of the body after the header, or None if
+    np.loadtxt cannot vouch for it.
 
-    loadtxt skips blank lines, so a table whose row count differs from the
-    file's line count is handed to the per-row parser like any parse error.
+    The body is parsed in `_CHUNK`-line blocks written straight into the final
+    arrays, so a load holds the dataset once plus one block. Each block reads
+    exactly its lines through `itertools.islice`; loadtxt skips blank lines, so
+    a block with fewer rows than lines is handed to the per-row parser like any
+    parse error.
     """
     lines = _line_count(path)
     if lines is None:
         return None
     rows = lines - 1
-    if rows == 0:
-        return np.empty((0, 17))
-    try:
-        table = np.loadtxt(
-            handle, delimiter=",", comments=None, converters={15: _label_value}, ndmin=2
-        )
-    except ValueError:
-        return None
-    if table.shape != (rows, 17):
-        return None
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        raise DatasetFormatError(f"{path}: row {np.argmin(finite) + 2}: non-finite value")
-    return table
+    features = np.empty((rows, 15))
+    labels = np.empty(rows, dtype=bool)
+    det_pt = np.empty(rows)
+    for start in range(0, rows, _CHUNK):
+        k = min(_CHUNK, rows - start)
+        try:
+            with warnings.catch_warnings():
+                # A block of blank lines parses to no rows; the shape check below catches it.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                block = np.loadtxt(
+                    itertools.islice(handle, k),
+                    delimiter=",",
+                    comments=None,
+                    converters={15: _label_value},
+                    ndmin=2,
+                )
+        except ValueError:
+            return None
+        if block.shape != (k, 17):
+            return None
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise DatasetFormatError(
+                f"{path}: row {start + np.argmin(finite) + 2}: non-finite value"
+            )
+        features[start : start + k] = block[:, :15]
+        labels[start : start + k] = block[:, 15] == 1.0
+        det_pt[start : start + k] = block[:, 16]
+        del block  # else it stays alive while loadtxt builds the next one
+    return features, labels, det_pt
 
 
 def _parse_rows(path: str) -> np.ndarray:
@@ -330,15 +354,11 @@ def load(path: str) -> Dataset:
         header = handle.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise DatasetFormatError(f"{path}: unexpected header {header!r}")
-        table = _parse_table(path, handle)
-    if table is None:
+        columns = _parse_table(path, handle)
+    if columns is None:
         table = _parse_rows(path)
+        columns = np.ascontiguousarray(table[:, :15]), table[:, 15] == 1.0, table[:, 16].copy()
 
-    ds = Dataset(
-        np.ascontiguousarray(table[:, :15]),
-        table[:, 15] == 1.0,
-        table[:, 16].copy(),
-        manifest,
-    )
+    ds = Dataset(*columns, manifest)
     _check_invariants(ds, path)
     return ds

@@ -125,14 +125,21 @@ def pauli_basis() -> list[np.ndarray]:
     return [p.copy() for p in _PAULI_PRODUCTS]
 
 
+def _check_rank(rank: int) -> None:
+    # A bool or a float such as 2.0 compares equal to an allowed rank but is no
+    # integer: numpy would fail on it later with a TypeError.
+    is_integer = isinstance(rank, (int, np.integer)) and not isinstance(rank, bool)
+    if not is_integer or rank not in (1, 2, 3, 4):
+        raise ValueError(f"rank must be an integer in 1..4, got {rank!r}")
+
+
 def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> DensityMatrix:
     """Draw a random state G G^dag / tr(G G^dag) with G a 4 x rank complex Gaussian.
 
     At rank 4 this samples the Hilbert-Schmidt-induced measure; lower ranks give
     rank-deficient states (rank 1 is a Haar-random pure state).
     """
-    if rank not in (1, 2, 3, 4):
-        raise ValueError(f"rank must be in 1..4, got {rank}")
+    _check_rank(rank)
     g = rng.standard_normal((2, 4, rank))
     ginibre = g[0] + 1j * g[1]
     rho = ginibre @ ginibre.conj().T
@@ -144,8 +151,7 @@ def _random_density_matrices(
     rng: np.random.Generator, count: int, rank: int = 4
 ) -> np.ndarray:
     """Batch form of random_density_matrix; consumes the RNG stream identically."""
-    if rank not in (1, 2, 3, 4):
-        raise ValueError(f"rank must be in 1..4, got {rank}")
+    _check_rank(rank)
     g = rng.standard_normal((count, 2, 4, rank))
     ginibre = g[:, 0] + 1j * g[:, 1]
     rho = ginibre @ np.conj(np.swapaxes(ginibre, 1, 2))

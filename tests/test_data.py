@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -135,6 +136,12 @@ class TestGenerate:
             generate(10, symmetry="spherical", seed=1)
         with pytest.raises(ValueError):
             generate(10, seed=1, rank=7)
+        for rank in (2.0, True):
+            with pytest.raises(ValueError, match="rank must be an integer in 1..4"):
+                generate(10, seed=1, rank=rank)
+
+    def test_numpy_integer_rank_accepted(self):
+        assert generate(10, seed=0, rank=np.int64(2)).equals(generate(10, seed=0, rank=2))
 
 
 class TestSplit:
@@ -433,6 +440,49 @@ class TestSaveLoad:
             with pytest.raises(error) as err:
                 load(path)
         assert str(err.value) == message.format(path=path)
+
+    # Blocks of 1 and 3 lines put every edit of MALFORMED past the first block.
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("edit, error, message", MALFORMED)
+    def test_malformed_file_in_later_block(self, saved20, monkeypatch, chunk, edit, error, message):
+        monkeypatch.setattr(data, "_CHUNK", chunk)
+        self.test_malformed_file(saved20, edit, error, message)
+
+    @pytest.mark.parametrize("rows", [2047, 2048, 2049, 4097])
+    def test_blocked_load_equals_whole_file_parse(self, tmp_path, monkeypatch, rows):
+        path = str(tmp_path / "d.csv")
+        save(generate(rows, symmetry="cylindrical", seed=rows), path)
+        # The one-pass parse that blocked loading replaced.
+        table = np.loadtxt(
+            path, delimiter=",", skiprows=1, comments=None,
+            converters={15: data._label_value}, ndmin=2,
+        )
+        expected = (np.ascontiguousarray(table[:, :15]), table[:, 15] == 1.0, table[:, 16].copy())
+        # A block that read more or fewer lines than its rows would desynchronise
+        # the next one and end in the per-row parser.
+        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        for chunk in (1, 7, 2048):
+            monkeypatch.setattr(data, "_CHUNK", chunk)
+            loaded = load(path)
+            for array, reference in zip((loaded.features, loaded.labels, loaded.det_pt), expected):
+                assert array.dtype == reference.dtype
+                assert array.shape == reference.shape
+                assert array.tobytes() == reference.tobytes()
+                assert array.flags.c_contiguous
+
+    def test_load_peaks_below_dataset_plus_two_blocks(self, tmp_path):
+        path = str(tmp_path / "d.csv")
+        save(generate(20_000, symmetry="cylindrical", seed=4), path)
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        final = loaded.features.nbytes + loaded.labels.nbytes + loaded.det_pt.nbytes
+        # A whole-file table of 17 float64 columns next to its feature copy
+        # would peak near twice the dataset.
+        assert peak < final + 2 * data._CHUNK * 17 * 8
 
     def test_no_final_newline_accepted(self, saved20):
         ds, path = saved20

@@ -76,10 +76,24 @@ class TestRandomDensityMatrix:
         for _ in range(20):
             assert random_density_matrix(rng, rank=1).purity() == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("rank", [0, 5, -1])
+    @pytest.mark.parametrize(
+        "rank",
+        [0, 5, -1, 2.0, True, False, np.float64(2.0), "2"],
+        ids=["0", "5", "-1", "float", "True", "False", "numpy-float", "str"],
+    )
     def test_rank_out_of_range(self, rank):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank must be an integer in 1..4"):
             random_density_matrix(np.random.default_rng(0), rank=rank)
+        with pytest.raises(ValueError, match="rank must be an integer in 1..4"):
+            quantum._random_density_matrices(np.random.default_rng(0), 3, rank)
+
+    def test_numpy_integer_rank_accepted(self):
+        def draws(rank):
+            single = random_density_matrix(np.random.default_rng(0), rank=rank).matrix
+            return single, quantum._random_density_matrices(np.random.default_rng(0), 3, rank)
+
+        for mine, reference in zip(draws(np.int64(2)), draws(2)):
+            assert np.array_equal(mine, reference)
 
     def test_batch_consumes_stream_like_singles(self):
         batch = quantum._random_density_matrices(np.random.default_rng(123), 16)
