@@ -3,10 +3,17 @@
 A dataset is a flat table of feature rows (the 15 Pauli expectations), boolean
 entanglement labels, and the determinant values the labels came from, plus a
 manifest that pins everything needed to regenerate it bit-identically.
+
+On disk a dataset is a CSV file, the format, with two sidecars: the manifest
+(`<path>.manifest.json`) and a binary copy of the arrays (`<path>.arrays.npy`)
+keyed by the SHA-256 of the CSV bytes. `load` takes the arrays from the binary
+copy only when it belongs to exactly those bytes, and parses the CSV otherwise,
+so deleting the binary copy only costs time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -35,6 +42,9 @@ STREAM_BALANCE = 4
 # Rows per generation and CSV block. The output bytes do not depend on it;
 # 2048 rows keep each block's temporaries near 1 MB.
 _CHUNK = 2048
+
+# Bytes per read when `load` counts the lines of a CSV file and hashes it.
+_SCAN_BLOCK = 1 << 20
 
 # One CSV row: 15 features, the 0/1 label, det_pt.
 _ROW_FORMAT = ",".join(["%.17g"] * 15) + ",%d,%.17g\n"
@@ -203,14 +213,17 @@ def split(
     return tuple(parts)
 
 
-def _write_atomic(path: str, text: str | Iterable[str]) -> None:
-    """Write `text`, or a stream of text chunks, to a temporary file renamed onto `path`."""
-    chunks = (text,) if isinstance(text, str) else text
+def _write_atomic(path: str, chunks: str | Iterable[str | bytes | np.ndarray]) -> None:
+    """Write text, or a stream of text (UTF-8) and bytes-like chunks, to a
+    temporary file renamed onto `path`. Line ends are written as given."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -222,24 +235,76 @@ def manifest_path(path: str) -> str:
     return f"{path}.manifest.json"
 
 
-def _csv_blocks(ds: Dataset) -> Iterator[str]:
-    """The CSV text in `_CHUNK`-row blocks, each formatted by one `%` operation."""
-    yield CSV_HEADER + "\n"
+def arrays_path(path: str) -> str:
+    return f"{path}.arrays.npy"
+
+
+def _csv_blocks(ds: Dataset, digest: "hashlib._Hash") -> Iterator[bytes]:
+    """The CSV file in `_CHUNK`-row blocks, each formatted by one `%` operation
+    and added to `digest` as it is yielded."""
+    header = (CSV_HEADER + "\n").encode()
+    digest.update(header)
+    yield header
     for start in range(0, len(ds), _CHUNK):
         stop = start + _CHUNK
         # Labels become 0.0/1.0 here, which %d prints as 0/1.
-        block = np.column_stack(
+        rows = np.column_stack(
             (ds.features[start:stop], ds.labels[start:stop], ds.det_pt[start:stop])
         )
-        yield (_ROW_FORMAT * block.shape[0]) % tuple(block.ravel().tolist())
+        block = ((_ROW_FORMAT * rows.shape[0]) % tuple(rows.ravel().tolist())).encode()
+        digest.update(block)
+        yield block
+
+
+def _arrays_header(descr: list[tuple[str, str, tuple[int, ...]]]) -> bytes:
+    """The .npy (format 1.0) header of one structured record with fields `descr`.
+
+    Written here rather than by numpy so that the bytes do not depend on the
+    numpy version; `np.load` reads the file with `allow_pickle=False`.
+    """
+    text = repr({"descr": descr, "fortran_order": False, "shape": ()})
+    text += " " * (-(10 + len(text) + 1) % 64) + "\n"  # data starts 64-byte aligned
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("ascii")
+
+
+def _arrays_descr(rows: int) -> list[tuple[str, str, tuple[int, ...]]]:
+    """The fields of the binary sidecar of a `rows`-row dataset, in file order.
+
+    The CSV digest comes first, so a stale sidecar is told from its first bytes;
+    labels come last, so the float fields stay 8-byte aligned.
+    """
+    f8, b1 = np.dtype(np.float64).str, np.dtype(np.bool_).str
+    return [
+        ("sha256", "|u1", (32,)),
+        ("features", f8, (rows, 15)),
+        ("det_pt", f8, (rows,)),
+        ("labels", b1, (rows,)),
+    ]
 
 
 def save(ds: Dataset, path: str) -> None:
-    """Write the dataset as CSV plus a JSON manifest sidecar, atomically."""
+    """Write the dataset as CSV plus its two sidecars, each file atomically.
+
+    The manifest goes to `manifest_path(path)`. The binary sidecar at
+    `arrays_path(path)` holds the SHA-256 of the CSV bytes and the three arrays
+    as one .npy record; its bytes depend only on the dataset (and the
+    platform's byte order). It is written last, so a save cut short leaves at
+    worst a sidecar of other bytes, which `load` ignores.
+    """
     _check_invariants(ds, path)
-    _write_atomic(path, _csv_blocks(ds))
+    digest = hashlib.sha256()
+    _write_atomic(path, _csv_blocks(ds, digest))
     _write_atomic(
         manifest_path(path), json.dumps(ds.manifest, indent=2, sort_keys=True) + "\n"
+    )
+    _write_atomic(
+        arrays_path(path),
+        (
+            _arrays_header(_arrays_descr(len(ds))) + digest.digest(),
+            np.ascontiguousarray(ds.features, dtype=np.float64),
+            np.ascontiguousarray(ds.det_pt, dtype=np.float64),
+            np.ascontiguousarray(ds.labels, dtype=np.bool_),
+        ),
     )
 
 
@@ -249,28 +314,80 @@ def _label_value(text: str) -> float:
     return float(text)
 
 
-def _line_count(path: str) -> int | None:
-    """Lines in the file as iterating it in text mode sees them.
+def _scan(path: str) -> tuple[int | None, bytes]:
+    """The file's line count as iterating it in text mode sees it, and the
+    SHA-256 of its bytes, from one pass in `_SCAN_BLOCK`-byte reads.
 
-    A final line without a newline counts. Returns None for a file holding a
-    carriage return, where universal newlines would split lines that a
-    newline count misses.
+    A final line without a newline counts, and a carriage return followed by a
+    newline ends one line, also when a read ends between the two. The count is
+    None for a file holding a lone carriage return, which universal newlines
+    read as a line end of its own where a newline count sees none.
     """
-    newlines, last = 0, b"\n"
+    digest = hashlib.sha256()
+    newlines = returns = pairs = 0
+    last = b"\n"
     with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
+        for block in iter(lambda: handle.read(_SCAN_BLOCK), b""):
+            digest.update(block)
+            # numpy counts a byte several times faster than bytes.count.
+            newlines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
             if b"\r" in block:
-                return None
-            newlines += block.count(b"\n")
+                returns += block.count(b"\r")
+                pairs += block.count(b"\r\n")
+            pairs += last == b"\r" and block[:1] == b"\n"
             last = block[-1:]
-    return newlines + (last != b"\n")
+    lines = newlines + (last != b"\n") if returns == pairs else None
+    return lines, digest.digest()
+
+
+def _all_finite(array: np.ndarray) -> bool:
+    """True if every value is finite, checked in `_CHUNK`-row slices."""
+    return all(np.isfinite(array[i : i + _CHUNK]).all() for i in range(0, len(array), _CHUNK))
+
+
+def _read_arrays(
+    path: str, rows: int, digest: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Features, labels and det_pt from the binary sidecar, or None unless it
+    is the one `save` writes for a `rows`-row CSV file with SHA-256 `digest`.
+
+    Its header and digest are compared with the expected bytes before any array
+    is allocated, and the arrays are read straight into place. The values must
+    be finite, with label bytes of 0 or 1 that agree with the sign of det_pt,
+    so that the sidecar can neither change what `load` returns nor make it
+    raise an error the CSV file would not.
+    """
+    expected = _arrays_header(_arrays_descr(rows)) + digest
+    try:
+        with open(arrays_path(path), "rb") as handle:
+            if handle.read(len(expected)) != expected:
+                return None
+            features = np.empty((rows, 15))
+            det_pt = np.empty(rows)
+            labels = np.empty(rows, dtype=bool)
+            for array in (features, det_pt, labels):
+                if handle.readinto(array) != array.nbytes:
+                    return None
+            if handle.read(1):
+                return None
+    except OSError:
+        return None
+    # Comparing the label bytes with a bool array checks both that they are 0
+    # or 1 and that they match the sign of det_pt.
+    if not (
+        _all_finite(features)
+        and _all_finite(det_pt)
+        and np.array_equal(labels.view(np.uint8), det_pt < 0.0)
+    ):
+        return None
+    return features, labels, det_pt
 
 
 def _parse_table(
-    path: str, handle: TextIO
+    path: str, handle: TextIO, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Features, labels and det_pt of the body after the header, or None if
-    np.loadtxt cannot vouch for it.
+    """Features, labels and det_pt of the `rows` lines after the header, or
+    None if np.loadtxt cannot vouch for them.
 
     The body is parsed in `_CHUNK`-line blocks written straight into the final
     arrays, so a load holds the dataset once plus one block. Each block reads
@@ -278,10 +395,6 @@ def _parse_table(
     a block with fewer rows than lines is handed to the per-row parser like any
     parse error.
     """
-    lines = _line_count(path)
-    if lines is None:
-        return None
-    rows = lines - 1
     features = np.empty((rows, 15))
     labels = np.empty(rows, dtype=bool)
     det_pt = np.empty(rows)
@@ -339,7 +452,14 @@ def _parse_rows(path: str) -> np.ndarray:
 
 
 def load(path: str) -> Dataset:
-    """Read a dataset back; refuses silently truncated or inconsistent files."""
+    """Read a dataset back; refuses silently truncated or inconsistent files.
+
+    After the manifest and header checks, one pass over the CSV bytes counts
+    its lines and hashes it. The arrays come from the binary sidecar only if
+    it is the one `save` wrote for exactly these bytes (see `_read_arrays`);
+    otherwise, and for any file it cannot vouch for, the CSV is parsed. Both
+    paths return the same arrays, and every error comes from the CSV.
+    """
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         raise DatasetIntegrityError(f"missing manifest sidecar {mpath}")
@@ -350,11 +470,16 @@ def load(path: str) -> Dataset:
             f"{mpath}: manifest must be a JSON object with {', '.join(sorted(_MANIFEST_KEYS))}"
         )
 
+    columns = None
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise DatasetFormatError(f"{path}: unexpected header {header!r}")
-        columns = _parse_table(path, handle)
+        lines, digest = _scan(path)
+        if lines is not None:
+            columns = _read_arrays(path, lines - 1, digest) or _parse_table(
+                path, handle, lines - 1
+            )
     if columns is None:
         table = _parse_rows(path)
         columns = np.ascontiguousarray(table[:, :15]), table[:, 15] == 1.0, table[:, 16].copy()

@@ -40,6 +40,7 @@ class TestGen:
         run(["gen", "--n", "400", "--seed", "9", "--symmetry", "cylindrical", "--out", out2])
         assert read_bytes(out1) == read_bytes(out2)
         assert read_bytes(data.manifest_path(out1)) == read_bytes(data.manifest_path(out2))
+        assert read_bytes(data.arrays_path(out1)) == read_bytes(data.arrays_path(out2))
 
     def test_symmetry_recorded_in_manifest(self, tmp_path):
         out = str(tmp_path / "d.csv")
@@ -113,6 +114,21 @@ class TestTrain:
         assert read_bytes(str(tmp_path / "m1.report.json")) == read_bytes(
             str(tmp_path / "m2.report.json")
         )
+
+    def test_outputs_do_not_depend_on_the_arrays_sidecar(self, tmp_path):
+        path = str(tmp_path / "d.csv")
+        run(["gen", "--n", "600", "--seed", "4", "--out", path])
+        out = str(tmp_path / "m.json")
+        names = ["m.json", "m.history.csv", "m.report.json", "m.config.json", "w.csv", "w.config.json"]
+        outputs = []
+        for sidecar in (True, False):
+            if not sidecar:
+                os.unlink(data.arrays_path(path))
+            assert run(["train", "--data", path, "--arch", "linear", "--m", "3",
+                        "--epochs", "2", "--seed", "1", "--out", out]) == 0
+            assert run(["weights", "--model", out, "--out", str(tmp_path / "w.csv")]) == 0
+            outputs.append([read_bytes(str(tmp_path / name)) for name in names])
+        assert outputs[0] == outputs[1]
 
     def test_missing_data_file_fails(self, tmp_path):
         code = run(

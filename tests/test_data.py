@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import pickle
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,6 +17,7 @@ from entwitness.data import (
     Dataset,
     DatasetFormatError,
     DatasetIntegrityError,
+    arrays_path,
     derived_seed,
     generate,
     load,
@@ -223,6 +226,17 @@ def _rewrite(path, edit):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def assert_load_peak_below_dataset_plus_two_blocks(path):
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = loaded.features.nbytes + loaded.labels.nbytes + loaded.det_pt.nbytes
+    assert peak < final + 2 * data._CHUNK * 17 * 8
+
+
 @pytest.fixture
 def saved20(tmp_path):
     ds = generate(20, seed=1)
@@ -342,6 +356,7 @@ class TestSaveLoad:
         save(generate(200, seed=13), p2)
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
         assert Path(manifest_path(p1)).read_bytes() == Path(manifest_path(p2)).read_bytes()
+        assert Path(arrays_path(p1)).read_bytes() == Path(arrays_path(p2)).read_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         ds = generate(50, seed=1)
@@ -421,7 +436,9 @@ class TestSaveLoad:
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(Path(manifest_path(path)).read_bytes()).hexdigest() == manifest_digest
 
-        # A well-formed file never needs the per-row parser.
+        # A well-formed file never needs the per-row parser (the binary sidecar
+        # is removed so that the CSV is parsed).
+        os.unlink(arrays_path(path))
         monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
         loaded = load(path)
         assert loaded.equals(ds)
@@ -435,6 +452,7 @@ class TestSaveLoad:
     def test_malformed_file(self, saved20, edit, error, message):
         _, path = saved20
         _rewrite(path, edit)
+        assert os.path.exists(arrays_path(path))  # left stale by the edit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error) as err:
@@ -452,6 +470,7 @@ class TestSaveLoad:
     def test_blocked_load_equals_whole_file_parse(self, tmp_path, monkeypatch, rows):
         path = str(tmp_path / "d.csv")
         save(generate(rows, symmetry="cylindrical", seed=rows), path)
+        os.unlink(arrays_path(path))
         # The one-pass parse that blocked loading replaced.
         table = np.loadtxt(
             path, delimiter=",", skiprows=1, comments=None,
@@ -473,26 +492,46 @@ class TestSaveLoad:
     def test_load_peaks_below_dataset_plus_two_blocks(self, tmp_path):
         path = str(tmp_path / "d.csv")
         save(generate(20_000, symmetry="cylindrical", seed=4), path)
-        tracemalloc.start()
-        try:
-            loaded = load(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        final = loaded.features.nbytes + loaded.labels.nbytes + loaded.det_pt.nbytes
+        os.unlink(arrays_path(path))
         # A whole-file table of 17 float64 columns next to its feature copy
         # would peak near twice the dataset.
-        assert peak < final + 2 * data._CHUNK * 17 * 8
+        assert_load_peak_below_dataset_plus_two_blocks(path)
+
+    def test_sidecar_load_peaks_below_dataset_plus_two_blocks(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "d.csv")
+        save(generate(20_000, symmetry="cylindrical", seed=4), path)
+        monkeypatch.setattr(data, "_parse_table", lambda *args: pytest.fail("CSV parse"))
+        # Reading the sidecar whole and then copying the arrays out of it would
+        # peak near twice the dataset.
+        assert_load_peak_below_dataset_plus_two_blocks(path)
 
     def test_no_final_newline_accepted(self, saved20):
         ds, path = saved20
         Path(path).write_text(Path(path).read_text().rstrip("\n"))
         assert load(path).equals(ds)
 
-    def test_carriage_returns_accepted(self, saved20):
+    def test_carriage_returns_accepted(self, saved20, monkeypatch):
+        # A CRLF file is counted and parsed in blocks like any other, also when
+        # reads of 1, 2 or 7 bytes split its "\r\n" pairs.
         ds, path = saved20
         Path(path).write_bytes(Path(path).read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        for block in (1, 2, 7, data._SCAN_BLOCK):
+            monkeypatch.setattr(data, "_SCAN_BLOCK", block)
+            assert load(path).equals(ds)
+
+    def test_lone_carriage_return_accepted(self, saved20, monkeypatch):
+        # Text mode reads a lone "\r" as a line end, which a newline count
+        # misses, so this file still takes the per-row parser and loads as before.
+        ds, path = saved20
+        raw = Path(path).read_bytes()
+        cut = raw.index(b"\n", raw.index(b"\n") + 1)
+        Path(path).write_bytes(raw[:cut] + b"\r" + raw[cut + 1 :])
+        parse_rows = data._parse_rows
+        calls = []
+        monkeypatch.setattr(data, "_parse_rows", lambda path: calls.append(path) or parse_rows(path))
         assert load(path).equals(ds)
+        assert calls == [path]
 
     def test_underscore_digits_accepted(self, saved20):
         # Python's float() reads "1_0" as 10.0; loadtxt does not, so this
@@ -516,6 +555,177 @@ class TestSaveLoad:
         Path(manifest_path(path)).write_text(json.dumps(manifest))
         with pytest.raises(DatasetIntegrityError, match="manifest.json: manifest must be"):
             load(path)
+
+
+class TestScan:
+    @pytest.mark.parametrize(
+        "raw",
+        [b"a\nb\n", b"a\nb", b"a\r\nb\r\n", b"a\r\nb", b"\r\n\r\n\n", b"a\n\r\nb\r\n",
+         b"a\rb\n", b"a\r\rb\r\n", b"a\r", b"a\r\n\r", b"\r", b"\n\r"],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 20])
+    def test_counts_lines_as_text_mode_reads_them(self, tmp_path, monkeypatch, raw, block):
+        path = tmp_path / "f"
+        path.write_bytes(raw)
+        monkeypatch.setattr(data, "_SCAN_BLOCK", block)
+        with open(path, encoding="utf-8") as handle:
+            text_lines = sum(1 for _ in handle)
+        # Only a carriage return without a newline after it defeats the count.
+        lone_return = any(raw[i : i + 1] == b"\r" and raw[i + 1 : i + 2] != b"\n" for i in range(len(raw)))
+        lines, digest = data._scan(str(path))
+        assert lines == (None if lone_return else text_lines)
+        assert digest == hashlib.sha256(raw).digest()
+
+    @pytest.mark.parametrize("second", [b"\n", b"x\n"])
+    def test_return_at_end_of_read(self, tmp_path, second):
+        # The first read ends in "\r"; a newline opening the next one completes the pair.
+        path = tmp_path / "f"
+        path.write_bytes(b"x" * (data._SCAN_BLOCK - 1) + b"\r" + second)
+        assert data._scan(str(path))[0] == (1 if second == b"\n" else None)
+
+
+def _sidecar(digest, ds, **fields):
+    """The bytes of a sidecar-style .npy record: its header, `digest`, then the
+    bytes of each field, by default the arrays of `ds` in the order save writes
+    them. A keyword replaces a field's array, or with None drops the field."""
+    arrays = {"features": ds.features, "det_pt": ds.det_pt, "labels": ds.labels, **fields}
+    arrays = {name: a for name, a in arrays.items() if a is not None}
+    descr = [("sha256", "|u1", (32,))] + [(name, a.dtype.str, a.shape) for name, a in arrays.items()]
+    return data._arrays_header(descr) + digest + b"".join(a.tobytes() for a in arrays.values())
+
+
+def _header_size(ds):
+    return len(data._arrays_header(data._arrays_descr(len(ds))))
+
+
+def _edited(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# Edits of the sidecar `good` that save wrote for dataset `ds`, whose CSV file
+# has SHA-256 `digest`. load must refuse each one and parse the CSV instead.
+BAD_SIDECARS = {
+    "empty": lambda ds, digest, good: b"",
+    "cut-in-magic": lambda ds, digest, good: good[:9],
+    "cut-in-header": lambda ds, digest, good: good[: _header_size(ds) - 1],
+    "cut-in-digest": lambda ds, digest, good: good[: _header_size(ds) + 31],
+    "cut-in-features": lambda ds, digest, good: good[: _header_size(ds) + 32 + 100],
+    "cut-last-byte": lambda ds, digest, good: good[:-1],
+    "trailing-byte": lambda ds, digest, good: good + b"\0",
+    "garbage": lambda ds, digest, good: np.random.default_rng(0).bytes(len(good)),
+    "wrong-key": lambda ds, digest, good: good.replace(b"'features'", b"'Features'", 1),
+    "stale-digest": lambda ds, digest, good: _sidecar(bytes(32), ds),
+    "missing-key": lambda ds, digest, good: _sidecar(digest, ds, det_pt=None),
+    "float32-features": lambda ds, digest, good: _sidecar(
+        digest, ds, features=ds.features.astype(np.float32)),
+    "int8-labels": lambda ds, digest, good: _sidecar(digest, ds, labels=ds.labels.astype(np.int8)),
+    "14-columns": lambda ds, digest, good: _sidecar(digest, ds, features=ds.features[:, :14]),
+    "one-row-short": lambda ds, digest, good: _sidecar(
+        digest, ds, features=ds.features[:-1], det_pt=ds.det_pt[:-1], labels=ds.labels[:-1]),
+    "object-features": lambda ds, digest, good: _sidecar(
+        digest, ds, features=ds.features.astype(object)),
+    "nan-feature": lambda ds, digest, good: _sidecar(
+        digest, ds, features=_edited(ds.features, (5, 3), np.nan)),
+    "inf-det": lambda ds, digest, good: _sidecar(
+        digest, ds, det_pt=_edited(ds.det_pt, -1, -np.inf), labels=_edited(ds.labels, -1, True)),
+    "label-byte-2": lambda ds, digest, good: _sidecar(
+        digest, ds, labels=_edited(ds.labels.view(np.uint8), 4, 2).view(np.bool_)),
+    "label-against-det-sign": lambda ds, digest, good: _sidecar(
+        digest, ds, labels=_edited(ds.labels, 4, not ds.labels[4])),
+}
+
+
+class TestArraysSidecar:
+    @pytest.mark.parametrize("symmetry", data.SYMMETRY_MODES)
+    @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 8193])
+    def test_sidecar_load_equals_csv_parse(self, tmp_path, monkeypatch, symmetry, rows):
+        self.check_sidecar_load(tmp_path, monkeypatch, generate(rows, symmetry, seed=rows))
+
+    def test_balanced_sidecar_load_equals_csv_parse(self, tmp_path, monkeypatch):
+        self.check_sidecar_load(tmp_path, monkeypatch, generate(3000, seed=2, balance=True))
+
+    @staticmethod
+    def check_sidecar_load(tmp_path, monkeypatch, ds):
+        path = str(tmp_path / "d.csv")
+        save(ds, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_parse_table", lambda *args: pytest.fail("CSV parse"))
+            patch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+            from_sidecar = load(path)
+        os.unlink(arrays_path(path))
+        from_csv = load(path)
+        assert from_sidecar.equals(ds)
+        assert from_sidecar.manifest == from_csv.manifest
+        for name in ("features", "labels", "det_pt"):
+            mine, theirs = getattr(from_sidecar, name), getattr(from_csv, name)
+            assert mine.dtype == theirs.dtype
+            assert mine.shape == theirs.shape
+            assert mine.flags.c_contiguous and theirs.flags.c_contiguous
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_sidecar_is_an_npy_record(self, saved20):
+        # Any numpy reads the sidecar without unpickling anything.
+        ds, path = saved20
+        digest = hashlib.sha256(Path(path).read_bytes()).digest()
+        record = np.load(arrays_path(path), allow_pickle=False)
+        assert record.shape == ()
+        assert record.dtype.names == ("sha256", "features", "det_pt", "labels")
+        assert record["sha256"].tobytes() == digest
+        assert same_bytes(Dataset(
+            record["features"], record["labels"], record["det_pt"], ds.manifest), ds, slice(None))
+        # The helper that builds the bad sidecars below builds this one exactly.
+        assert _sidecar(digest, ds) == Path(arrays_path(path)).read_bytes()
+
+    @pytest.mark.parametrize("make", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
+    def test_bad_sidecar_gives_csv_result(self, saved20, make):
+        ds, path = saved20
+        digest = hashlib.sha256(Path(path).read_bytes()).digest()
+        good = Path(arrays_path(path)).read_bytes()
+        Path(arrays_path(path)).write_bytes(make(ds, digest, good))
+        assert data._read_arrays(path, len(ds), digest) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load(path)
+        assert same_bytes(loaded, ds, slice(None))
+        assert loaded.features.flags.c_contiguous
+
+    def test_pickled_sidecar_never_unpickled(self, saved20, monkeypatch):
+        ds, path = saved20
+        np.save(arrays_path(path), np.array([ds.features, None], dtype=object), allow_pickle=True)
+        monkeypatch.setattr(pickle, "load", lambda *a, **k: pytest.fail("unpickled"))
+        assert load(path).equals(ds)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_missing_sidecar_gives_csv_result(self, saved20, kind):
+        ds, path = saved20
+        os.unlink(arrays_path(path))
+        if kind == "directory":
+            os.mkdir(arrays_path(path))
+        assert load(path).equals(ds)
+
+    def test_sidecar_of_another_dataset_ignored(self, tmp_path):
+        # The CSV and manifest of b replace those of a, leaving a's sidecar of
+        # the same row count behind.
+        a, b = generate(50, seed=1), generate(50, seed=2)
+        path, other = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        save(a, path)
+        save(b, other)
+        os.replace(other, path)
+        os.replace(manifest_path(other), manifest_path(path))
+        assert load(path).equals(b)
+
+    def test_saved_non_finite_value_fails_as_before(self, tmp_path):
+        # The sidecar matches the CSV bytes but holds a NaN, so the CSV is
+        # parsed and raises its own error.
+        ds = generate(20, seed=1)
+        ds.features[5, 3] = np.nan
+        path = str(tmp_path / "d.csv")
+        save(ds, path)
+        with pytest.raises(DatasetFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: row 7: non-finite value"
 
 
 class TestDerivedSeed:
