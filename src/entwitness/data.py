@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -215,13 +214,18 @@ def split(
 
 def _write_atomic(path: str, chunks: str | Iterable[str | bytes | np.ndarray]) -> None:
     """Write text, or a stream of text (UTF-8) and bytes-like chunks, to a
-    temporary file renamed onto `path`. Line ends are written as given."""
+    temporary file renamed onto `path`. Line ends are written as given.
+
+    The temporary file is created by `open`, so `path` gets the mode a plain
+    `open(path, "w")` would give a new file: 0o666 less the process umask.
+    """
     if isinstance(chunks, str):
         chunks = (chunks,)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    handle = open(tmp, "xb")  # fails rather than take over an existing file
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             for chunk in chunks:
                 handle.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)

@@ -24,9 +24,10 @@ SCORE_CLAMP = 1e-12
 # Rows per scoring block. No block is shorter than this unless the whole input is:
 # a separate short tail would change scores (a 1-row matmul goes to gemv, which
 # rounds differently), while these blocks keep them bit-identical to one pass.
-# Blocks stay under 1024 rows, where OpenBLAS runs a width-1 layer of the default
-# architectures on one thread, so scores do not depend on the thread count.
-_SCORE_ROWS = 512
+# Blocks stay under 512 rows, well below where OpenBLAS splits a width-1 layer of
+# the default architectures between threads, so scores do not depend on the thread
+# count; a block's widest activation on `nonlinear_full` stays under 1.6 MB.
+_SCORE_ROWS = 256
 
 # Elements per slice of an Adam step: its five arrays' slices stay in cache together.
 _ADAM_SLICE = 16_384
@@ -241,7 +242,7 @@ def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
     Rows are scored in `_score_blocks`, so memory stays bounded whatever the row
     count. With single-threaded BLAS every score equals that of one whole-matrix
-    pass bit for bit. Blocks of at most 1023 rows also keep the width-1 layers of
+    pass bit for bit. Blocks of at most 511 rows also keep the width-1 layers of
     the default widths (the sigmoid output, the m=1 code) on one OpenBLAS thread,
     so scores do not depend on the thread count; measured with OpenBLAS 0.3.31,
     which splits the 384-input output layer of `nonlinear_full` from about 1200
@@ -270,20 +271,24 @@ class Workspace:
     """Buffers that one model's training steps reuse instead of allocating.
 
     `grad` is the flat gradient, laid out like `params` and written through per-layer
-    views; activation and delta buffers are made once per batch row count.
+    views. Per batch row count there is one buffer per layer, which holds the layer's
+    output on the forward pass and is overwritten by its delta on the backward pass,
+    and one bool buffer for the relu mask of any one layer.
     """
 
     def __init__(self, model: MlpModel):
         self.grad, self._weight_grads, self._bias_grads = _views(
             model.layer_specs, np.empty_like(model.params)
         )
-        self._buffers: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        self._buffers: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
 
-    def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer (activations, deltas), each of shape (rows, layer width)."""
+    def buffers(self, rows: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per-layer buffers of shape (rows, layer width), and the flat mask buffer."""
         if rows not in self._buffers:
-            self._buffers[rows] = tuple(
-                [np.empty((rows, w.shape[0])) for w in self._weight_grads] for _ in range(2)
+            widths = [w.shape[0] for w in self._weight_grads]
+            self._buffers[rows] = (
+                [np.empty((rows, width)) for width in widths],
+                np.empty(rows * max(widths), dtype=bool),
             )
         return self._buffers[rows]
 
@@ -294,7 +299,9 @@ def loss_and_gradients(
     """Mean binary cross-entropy and its reverse-mode gradient, flat like `model.params`.
 
     With a workspace the gradient is its `grad`, overwritten by the next call
-    that uses it; without one it belongs to the caller.
+    that uses it; without one it belongs to the caller. The backward pass
+    overwrites each layer's activations with that layer's delta, so after the
+    call the workspace's buffers hold deltas, not activations.
     """
     batch = _check_batch(model, batch)
     y = np.asarray(labels, dtype=float)
@@ -302,7 +309,7 @@ def loss_and_gradients(
         raise ValueError(f"labels shape {y.shape} does not match batch {batch.shape}")
     if workspace is None:
         workspace = Workspace(model)
-    outputs, deltas = workspace.buffers(batch.shape[0])
+    outputs, mask = workspace.buffers(batch.shape[0])
 
     a = batch
     for spec, w, b, out in zip(model.layer_specs, model.weights, model.biases, outputs):
@@ -311,9 +318,9 @@ def loss_and_gradients(
     scores = a[:, 0]
     loss = _bce(scores, y)
 
-    # Fused sigmoid + cross-entropy derivative at the output.
-    delta = deltas[-1]
-    np.subtract(scores, y, out=delta[:, 0])
+    # Fused sigmoid + cross-entropy derivative at the output, over the scores.
+    delta = outputs[-1]
+    np.subtract(scores, y, out=scores)
     delta /= batch.shape[0]
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=workspace._weight_grads[i])
@@ -321,19 +328,22 @@ def loss_and_gradients(
             np.sum(delta, axis=0, out=workspace._bias_grads[i])
         if i == 0:
             break
-        below = deltas[i - 1]
+        # The derivative is taken from layer i - 1's output before its delta overwrites it.
+        below = acts[i]
+        activation = model.layer_specs[i - 1].activation
+        derivative = None
+        if activation == "relu":
+            derivative = np.greater(below, 0.0, out=mask[: below.size].reshape(below.shape))
+        elif activation == "sigmoid":
+            derivative = below.copy()
         if delta.shape[1] == 1:
             np.multiply(delta, model.weights[i], out=below)  # a k = 1 product, exactly
         else:
             np.matmul(delta, model.weights[i], out=below)
-        # acts[i] is not read again, so it holds the activation's derivative.
-        act = acts[i]
-        activation = model.layer_specs[i - 1].activation
-        if activation == "relu":
-            below *= np.greater(act, 0.0, out=act)
-        elif activation == "sigmoid":
-            below *= act
-            below *= np.subtract(1.0, act, out=act)
+        if derivative is not None:
+            below *= derivative  # a bool relu mask multiplies exactly, as 1.0 and 0.0
+            if activation == "sigmoid":
+                below *= np.subtract(1.0, derivative, out=derivative)
         delta = below
     return loss, workspace.grad
 

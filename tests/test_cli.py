@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,33 @@ class TestSweep:
         with pytest.raises(SystemExit) as err:
             run(["sweep", "--m", "", "--out", str(tmp_path / "s.csv")])
         assert err.value.code == 2
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids="umask{:03o}".format)
+    def test_every_output_gets_the_mode_open_gives(self, tmp_path, monkeypatch, umask):
+        """Each file gen, train, weights and sweep write has mode 0o666 less the
+        umask, as a plain open() would create it, and no temporary file is left."""
+        commands = [
+            "gen --n 600 --seed 4 --out d.csv",
+            "train --data d.csv --arch linear --m 3 --epochs 2 --seed 1 --out m.json",
+            "weights --model m.json --out w.csv",
+            "sweep --m 1 --sizes 900,300,300 --seeds 1 --epochs 2 --out s.csv",
+        ]
+        monkeypatch.chdir(tmp_path)
+        old_umask = os.umask(umask)
+        try:
+            for command in commands:
+                assert run(command.split()) == 0
+        finally:
+            os.umask(old_umask)
+        assert sorted(os.listdir(tmp_path)) == sorted([
+            "d.csv", "d.csv.manifest.json", "d.csv.arrays.npy", "d.config.json",
+            "m.json", "m.history.csv", "m.report.json", "m.config.json",
+            "w.csv", "w.config.json", "s.csv", "s.json", "s.config.json",
+        ])
+        modes = {path.name: oct(stat.S_IMODE(path.stat().st_mode)) for path in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(modes, oct(0o666 & ~umask))
 
 
 class TestFailFast:

@@ -141,7 +141,9 @@ class TestForward:
 
 #: Row counts around the block edges, plus the validation sizes of the benchmark
 #: (4000) and of the acceptance suite (25000).
-SCORE_BLOCK_ROWS = (0, 1, 2, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4000, 25000)
+SCORE_BLOCK_ROWS = (
+    0, 1, 2, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4000, 25000,
+)
 
 #: Row counts at which a scoring block of 1024 rows or more would reach 1206 rows,
 #: from where OpenBLAS splits the 384-input `nonlinear_full` output layer between
@@ -295,6 +297,52 @@ class TestLossAndGradients:
         model = model_new("linear_code", 0, m=3)
         with pytest.raises(ValueError):
             loss_and_gradients(model, np.zeros((4, 15)), np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: model_new("nonlinear_full", 11),
+            lambda: model_new("linear_code", 12, m=1),
+            lambda: model_new("linear_code", 13, m=9),
+            lambda: _golden_custom_model(14),
+        ],
+        ids=["nonlinear_full", "linear_m1", "linear_m9", "custom_sigmoid"],
+    )
+    def test_reused_workspace_equals_fresh(self, build):
+        """Byte-equal loss and gradient whether the workspace's buffers, which the
+        backward pass overwrites, were used before or are new."""
+        model = build()
+        rng = np.random.default_rng(0)
+        model.params += 0.1 * rng.standard_normal(model.params.size)
+        workspace = nn.Workspace(model)
+        for rows in (256, 32, 256):
+            batch = rng.uniform(-1, 1, (rows, 15))
+            labels = (rng.uniform(size=rows) > 0.5).astype(float)
+            loss, grad = loss_and_gradients(model, batch, labels, workspace)
+            fresh_loss, fresh_grad = loss_and_gradients(model, batch, labels)
+            assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
+            assert grad.tobytes() == fresh_grad.tobytes()
+
+    def test_first_call_allocates_one_activation_set(self):
+        """The backward pass writes each delta over an activation, so a first call
+        allocates the gradient, one buffer per layer and the bool relu mask, plus
+        at most 256 KiB: numpy's cast buffers for the bool mask and the loss's
+        row temporaries. A second, delta buffer per layer would add 2.4 MB."""
+        model = model_new("nonlinear_full", 0)
+        rows = 256
+        rng = np.random.default_rng(0)
+        batch = rng.uniform(-1, 1, (rows, 15))
+        labels = (rng.uniform(size=rows) > 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(model, batch, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        widths = [spec.width for spec in model.layer_specs]
+        activations = rows * sum(widths) * 8
+        mask = rows * max(widths)
+        assert peak < model.params.nbytes + activations + mask + 256 * 1024
 
 
 class TestTrain:
