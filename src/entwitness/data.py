@@ -5,10 +5,11 @@ entanglement labels, and the determinant values the labels came from, plus a
 manifest that pins everything needed to regenerate it bit-identically.
 
 On disk a dataset is a CSV file, the format, with two sidecars: the manifest
-(`<path>.manifest.json`) and a binary copy of the arrays (`<path>.arrays.npy`)
-keyed by the SHA-256 of the CSV bytes. `load` takes the arrays from the binary
-copy only when it belongs to exactly those bytes, and parses the CSV otherwise,
-so deleting the binary copy only costs time.
+(`<path>.manifest.json`), which also gives the row count, and a binary copy of
+the arrays (`<path>.arrays.npy`) keyed by the SHA-256 of the CSV bytes. `load`
+takes the arrays from the binary copy only when it belongs to exactly those
+bytes, and otherwise parses the CSV in blocks, whatever its line ends, so
+deleting the binary copy only costs time.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ STREAM_BALANCE = 4
 # Rows per generation and CSV block. The output bytes do not depend on it;
 # 2048 rows keep each block's temporaries near 1 MB.
 _CHUNK = 2048
-
-# Bytes per read when `load` counts the lines of a CSV file and hashes it.
-_SCAN_BLOCK = 1 << 20
 
 # One CSV row: 15 features, the 0/1 label, det_pt.
 _ROW_FORMAT = ",".join(["%.17g"] * 15) + ",%d,%.17g\n"
@@ -318,53 +316,33 @@ def _label_value(text: str) -> float:
     return float(text)
 
 
-def _scan(path: str) -> tuple[int | None, bytes]:
-    """The file's line count as iterating it in text mode sees it, and the
-    SHA-256 of its bytes, from one pass in `_SCAN_BLOCK`-byte reads.
-
-    A final line without a newline counts, and a carriage return followed by a
-    newline ends one line, also when a read ends between the two. The count is
-    None for a file holding a lone carriage return, which universal newlines
-    read as a line end of its own where a newline count sees none.
-    """
-    digest = hashlib.sha256()
-    newlines = returns = pairs = 0
-    last = b"\n"
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(_SCAN_BLOCK), b""):
-            digest.update(block)
-            # numpy counts a byte several times faster than bytes.count.
-            newlines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
-            if b"\r" in block:
-                returns += block.count(b"\r")
-                pairs += block.count(b"\r\n")
-            pairs += last == b"\r" and block[:1] == b"\n"
-            last = block[-1:]
-    lines = newlines + (last != b"\n") if returns == pairs else None
-    return lines, digest.digest()
-
-
 def _all_finite(array: np.ndarray) -> bool:
     """True if every value is finite, checked in `_CHUNK`-row slices."""
     return all(np.isfinite(array[i : i + _CHUNK]).all() for i in range(0, len(array), _CHUNK))
 
 
-def _read_arrays(
-    path: str, rows: int, digest: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _read_arrays(path: str, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Features, labels and det_pt from the binary sidecar, or None unless it
-    is the one `save` writes for a `rows`-row CSV file with SHA-256 `digest`.
+    is the one `save` writes for the CSV file at `path` holding the manifest's
+    `rows` rows.
 
-    Its header and digest are compared with the expected bytes before any array
-    is allocated, and the arrays are read straight into place. The values must
+    The CSV file is hashed only once the sidecar's .npy header matches `rows`,
+    and its SHA-256 is compared with the sidecar's before any array is
+    allocated; the arrays are then read straight into place. The values must
     be finite, with label bytes of 0 or 1 that agree with the sign of det_pt,
     so that the sidecar can neither change what `load` returns nor make it
     raise an error the CSV file would not.
     """
-    expected = _arrays_header(_arrays_descr(rows)) + digest
+    header = _arrays_header(_arrays_descr(rows))
     try:
         with open(arrays_path(path), "rb") as handle:
-            if handle.read(len(expected)) != expected:
+            if handle.read(len(header)) != header:
+                return None
+            digest = hashlib.sha256()
+            with open(path, "rb") as csv:
+                for block in iter(lambda: csv.read(1 << 16), b""):
+                    digest.update(block)
+            if handle.read(32) != digest.digest():
                 return None
             features = np.empty((rows, 15))
             det_pt = np.empty(rows)
@@ -390,14 +368,16 @@ def _read_arrays(
 def _parse_table(
     path: str, handle: TextIO, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Features, labels and det_pt of the `rows` lines after the header, or
-    None if np.loadtxt cannot vouch for them.
+    """Features, labels and det_pt of the manifest's `rows` lines after the
+    header, or None if np.loadtxt cannot vouch for them.
 
     The body is parsed in `_CHUNK`-line blocks written straight into the final
     arrays, so a load holds the dataset once plus one block. Each block reads
-    exactly its lines through `itertools.islice`; loadtxt skips blank lines, so
-    a block with fewer rows than lines is handed to the per-row parser like any
-    parse error.
+    exactly its lines through `itertools.islice` from the text handle, whose
+    universal newlines end a line at "\n", "\r\n" or a lone "\r" alike.
+    loadtxt skips blank lines, so a block with fewer rows than lines, like a
+    file with fewer lines than `rows` or any text after the last of them, is
+    handed to the per-row parser like any parse error.
     """
     features = np.empty((rows, 15))
     labels = np.empty(rows, dtype=bool)
@@ -428,10 +408,12 @@ def _parse_table(
         labels[start : start + k] = block[:, 15] == 1.0
         det_pt[start : start + k] = block[:, 16]
         del block  # else it stays alive while loadtxt builds the next one
+    if handle.read(1):
+        return None
     return features, labels, det_pt
 
 
-def _parse_rows(path: str) -> np.ndarray:
+def _parse_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row parser: raises DatasetFormatError naming the first bad row."""
     rows = []
     with open(path, encoding="utf-8") as handle:
@@ -452,17 +434,21 @@ def _parse_rows(path: str) -> np.ndarray:
             if not all(map(math.isfinite, values)):
                 raise DatasetFormatError(f"{path}: row {lineno}: non-finite value")
             rows.append(values)
-    return np.array(rows, dtype=float).reshape(len(rows), 17)
+    table = np.array(rows, dtype=float).reshape(len(rows), 17)
+    return np.ascontiguousarray(table[:, :15]), table[:, 15] == 1.0, table[:, 16].copy()
 
 
 def load(path: str) -> Dataset:
     """Read a dataset back; refuses silently truncated or inconsistent files.
 
-    After the manifest and header checks, one pass over the CSV bytes counts
-    its lines and hashes it. The arrays come from the binary sidecar only if
-    it is the one `save` wrote for exactly these bytes (see `_read_arrays`);
-    otherwise, and for any file it cannot vouch for, the CSV is parsed. Both
-    paths return the same arrays, and every error comes from the CSV.
+    The row count is the manifest's `count`, which must be an integer >= 0.
+    The arrays are allocated from it only if the CSV file holds at least 33
+    bytes per row (17 one-character fields and their 16 commas); otherwise
+    the per-row parser reports the mismatch. They come from the binary sidecar
+    only if it is the one `save` wrote for exactly these bytes (see
+    `_read_arrays`); otherwise the CSV is parsed in blocks, and for any file
+    the blocks cannot vouch for, row by row. All paths return the same arrays,
+    and every error but a bad manifest comes from the CSV.
     """
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
@@ -473,20 +459,18 @@ def load(path: str) -> Dataset:
         raise DatasetIntegrityError(
             f"{mpath}: manifest must be a JSON object with {', '.join(sorted(_MANIFEST_KEYS))}"
         )
+    count = manifest["count"]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise DatasetIntegrityError(f"{mpath}: count must be an integer >= 0, got {count!r}")
 
     columns = None
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise DatasetFormatError(f"{path}: unexpected header {header!r}")
-        lines, digest = _scan(path)
-        if lines is not None:
-            columns = _read_arrays(path, lines - 1, digest) or _parse_table(
-                path, handle, lines - 1
-            )
-    if columns is None:
-        table = _parse_rows(path)
-        columns = np.ascontiguousarray(table[:, :15]), table[:, 15] == 1.0, table[:, 16].copy()
+        if count * 33 <= os.fstat(handle.fileno()).st_size:
+            columns = _read_arrays(path, count) or _parse_table(path, handle, count)
+    columns = columns or _parse_rows(path)
 
     ds = Dataset(*columns, manifest)
     _check_invariants(ds, path)

@@ -183,7 +183,6 @@ def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_sweep(rows: Sequence[SweepRow], csv_path: str, json_path: str | None = None) -> None:
+def save_sweep(rows: Sequence[SweepRow], csv_path: str, json_path: str) -> None:
     _write_atomic(csv_path, sweep_to_csv(rows))
-    if json_path is not None:
-        _write_atomic(json_path, json.dumps([asdict(r) for r in rows], indent=2) + "\n")
+    _write_atomic(json_path, json.dumps([asdict(r) for r in rows], indent=2) + "\n")

@@ -226,6 +226,11 @@ def _rewrite(path, edit):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _set_manifest_count(path, count):
+    manifest = json.loads(Path(manifest_path(path)).read_text())
+    Path(manifest_path(path)).write_text(json.dumps({**manifest, "count": count}))
+
+
 def assert_load_peak_below_dataset_plus_two_blocks(path):
     tracemalloc.start()
     try:
@@ -330,6 +335,26 @@ MALFORMED = [
         DatasetFormatError,
         "{path}: row 6: non-finite value",
         id="nan-before-bad-label",
+    ),
+    # The manifest's count says how many lines are parsed in blocks; the
+    # per-row parser still counts every line of a file that does not match it.
+    pytest.param(
+        lambda lines: lines.insert(8, lines[8]),
+        DatasetIntegrityError,
+        "{path}: manifest count 20 != 21 rows",
+        id="extra-row",
+    ),
+    pytest.param(
+        lambda lines: lines.append(""),
+        DatasetFormatError,
+        "{path}: row 22: expected 17 fields, got 1",
+        id="trailing-blank-line",
+    ),
+    pytest.param(
+        lambda lines: lines.pop(),
+        DatasetIntegrityError,
+        "{path}: manifest count 20 != 19 rows",
+        id="last-row-removed",
     ),
 ]
 
@@ -511,27 +536,23 @@ class TestSaveLoad:
         assert load(path).equals(ds)
 
     def test_carriage_returns_accepted(self, saved20, monkeypatch):
-        # A CRLF file is counted and parsed in blocks like any other, also when
-        # reads of 1, 2 or 7 bytes split its "\r\n" pairs.
+        # CRLF and all-"\r" files are parsed in blocks like any other.
         ds, path = saved20
-        Path(path).write_bytes(Path(path).read_bytes().replace(b"\n", b"\r\n"))
+        raw = Path(path).read_bytes()
         monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
-        for block in (1, 2, 7, data._SCAN_BLOCK):
-            monkeypatch.setattr(data, "_SCAN_BLOCK", block)
+        for ending in (b"\r\n", b"\r"):
+            Path(path).write_bytes(raw.replace(b"\n", ending))
             assert load(path).equals(ds)
 
     def test_lone_carriage_return_accepted(self, saved20, monkeypatch):
-        # Text mode reads a lone "\r" as a line end, which a newline count
-        # misses, so this file still takes the per-row parser and loads as before.
+        # Text mode reads a lone "\r" as a line end, so a file mixing it with
+        # newlines is parsed in blocks too.
         ds, path = saved20
         raw = Path(path).read_bytes()
         cut = raw.index(b"\n", raw.index(b"\n") + 1)
         Path(path).write_bytes(raw[:cut] + b"\r" + raw[cut + 1 :])
-        parse_rows = data._parse_rows
-        calls = []
-        monkeypatch.setattr(data, "_parse_rows", lambda path: calls.append(path) or parse_rows(path))
+        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
         assert load(path).equals(ds)
-        assert calls == [path]
 
     def test_underscore_digits_accepted(self, saved20):
         # Python's float() reads "1_0" as 10.0; loadtxt does not, so this
@@ -556,32 +577,31 @@ class TestSaveLoad:
         with pytest.raises(DatasetIntegrityError, match="manifest.json: manifest must be"):
             load(path)
 
+    @pytest.mark.parametrize("count", ["20", 20.0, True, -1], ids=["string", "float", "bool", "negative"])
+    def test_bad_manifest_count_rejected(self, saved20, count):
+        _, path = saved20
+        _set_manifest_count(path, count)
+        os.unlink(path)  # the count is refused before the CSV file is opened
+        with pytest.raises(DatasetIntegrityError) as err:
+            load(path)
+        assert str(err.value) == f"{manifest_path(path)}: count must be an integer >= 0, got {count!r}"
 
-class TestScan:
-    @pytest.mark.parametrize(
-        "raw",
-        [b"a\nb\n", b"a\nb", b"a\r\nb\r\n", b"a\r\nb", b"\r\n\r\n\n", b"a\n\r\nb\r\n",
-         b"a\rb\n", b"a\r\rb\r\n", b"a\r", b"a\r\n\r", b"\r", b"\n\r"],
-    )
-    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 20])
-    def test_counts_lines_as_text_mode_reads_them(self, tmp_path, monkeypatch, raw, block):
-        path = tmp_path / "f"
-        path.write_bytes(raw)
-        monkeypatch.setattr(data, "_SCAN_BLOCK", block)
-        with open(path, encoding="utf-8") as handle:
-            text_lines = sum(1 for _ in handle)
-        # Only a carriage return without a newline after it defeats the count.
-        lone_return = any(raw[i : i + 1] == b"\r" and raw[i + 1 : i + 2] != b"\n" for i in range(len(raw)))
-        lines, digest = data._scan(str(path))
-        assert lines == (None if lone_return else text_lines)
-        assert digest == hashlib.sha256(raw).digest()
-
-    @pytest.mark.parametrize("second", [b"\n", b"x\n"])
-    def test_return_at_end_of_read(self, tmp_path, second):
-        # The first read ends in "\r"; a newline opening the next one completes the pair.
-        path = tmp_path / "f"
-        path.write_bytes(b"x" * (data._SCAN_BLOCK - 1) + b"\r" + second)
-        assert data._scan(str(path))[0] == (1 if second == b"\n" else None)
+    def test_huge_manifest_count_allocates_nothing(self, saved20):
+        # 10**15 rows cannot fit in the file's bytes, so no array is sized from
+        # the count and the per-row parser reports the mismatch, within the
+        # bound of assert_load_peak_below_dataset_plus_two_blocks.
+        ds, path = saved20
+        _set_manifest_count(path, 10**15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetIntegrityError) as err:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{path}: manifest count 1000000000000000 != 20 rows"
+        final = ds.features.nbytes + ds.labels.nbytes + ds.det_pt.nbytes
+        assert peak < final + 2 * data._CHUNK * 17 * 8
 
 
 def _sidecar(digest, ds, **fields):
@@ -684,7 +704,7 @@ class TestArraysSidecar:
         digest = hashlib.sha256(Path(path).read_bytes()).digest()
         good = Path(arrays_path(path)).read_bytes()
         Path(arrays_path(path)).write_bytes(make(ds, digest, good))
-        assert data._read_arrays(path, len(ds), digest) is None
+        assert data._read_arrays(path, len(ds)) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = load(path)
