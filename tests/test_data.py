@@ -604,6 +604,66 @@ class TestSaveLoad:
         assert peak < final + 2 * data._CHUNK * 17 * 8
 
 
+# Two CSV body rows, told apart by their label.
+ROW_A = b",".join([b"0.5"] * 15) + b",0,0.25"
+ROW_B = b",".join([b"0.5"] * 15) + b",1,-0.25"
+
+
+class TestScan:
+    # load reads the manifest's count of lines in blocks through its text
+    # handle, so the lines it parses are the ones text mode iterates: "\n",
+    # "\r\n" and a lone "\r" each end one, whatever the block size.
+    @pytest.mark.parametrize(
+        "raw",
+        [b"a\nb\n", b"a\nb", b"a\r\nb\r\n", b"a\r\nb", b"\r\n\r\n\n", b"a\n\r\nb\r\n",
+         b"a\rb\n", b"a\r\rb\r\n", b"a\r", b"a\r\n\r", b"\r", b"\n\r"],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 20])
+    def test_counts_lines_as_text_mode_reads_them(self, tmp_path, monkeypatch, raw, block):
+        body = raw.replace(b"a", ROW_A).replace(b"b", ROW_B)
+        path = tmp_path / "f"
+        path.write_bytes(body)
+        with open(path, encoding="utf-8") as handle:
+            text_lines = list(handle)
+        path.write_bytes(CSV_HEADER.encode() + b"\n" + body)
+        manifest = {key: None for key in data._MANIFEST_KEYS}
+        monkeypatch.setattr(data, "_CHUNK", block)
+        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        # loadtxt skips a blank line, so a file holding one is never parsed in blocks.
+        if "\n" in text_lines:
+            Path(manifest_path(str(path))).write_text(json.dumps({**manifest, "count": len(text_lines)}))
+            with pytest.raises(pytest.fail.Exception, match="per-row parse"):
+                load(str(path))
+            return
+        labels = [line.startswith(ROW_B.decode()) for line in text_lines]
+        for count in (len(text_lines) - 1, len(text_lines), len(text_lines) + 1):
+            Path(manifest_path(str(path))).write_text(json.dumps({**manifest, "count": count}))
+            if count != len(text_lines):
+                with pytest.raises(pytest.fail.Exception, match="per-row parse"):
+                    load(str(path))
+                continue
+            ds = load(str(path))
+            assert ds.labels.tolist() == labels
+            assert ds.det_pt.tolist() == [-0.25 if label else 0.25 for label in labels]
+            assert ds.features.shape == (count, 15) and (ds.features == 0.5).all()
+
+    @pytest.mark.parametrize("second", [b"\n", b"x\n"])
+    def test_return_at_end_of_read(self, tmp_path, second):
+        # The text handle's first read ends in "\r"; a newline opening the next
+        # one completes the pair, anything else leaves the "\r" a line end.
+        path = tmp_path / "f"
+        path.write_bytes(ROW_A + b"\r" + second.replace(b"x", ROW_B))
+        lines = 1 if second == b"\n" else 2
+        for rows in (lines - 1, lines, lines + 1):
+            with open(path, encoding="utf-8") as handle:
+                handle._CHUNK_SIZE = len(ROW_A) + 1
+                columns = data._parse_table(str(path), handle, rows)
+            if rows != lines:
+                assert columns is None
+            else:
+                assert columns[1].tolist() == [False, True][:lines]
+
+
 def _sidecar(digest, ds, **fields):
     """The bytes of a sidecar-style .npy record: its header, `digest`, then the
     bytes of each field, by default the arrays of `ds` in the order save writes
