@@ -8,8 +8,8 @@ On disk a dataset is a CSV file, the format, with two sidecars: the manifest
 (`<path>.manifest.json`), which also gives the row count, and a binary copy of
 the arrays (`<path>.arrays.npy`) keyed by the SHA-256 of the CSV bytes. `load`
 takes the arrays from the binary copy only when it belongs to exactly those
-bytes, and otherwise parses the CSV in blocks, whatever its line ends, so
-deleting the binary copy only costs time.
+bytes, and otherwise converts the CSV's cells with float() in blocks of lines,
+whatever their ends, so deleting the binary copy only costs time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -39,15 +38,27 @@ STREAM_SHUFFLE = 2
 STREAM_SPLIT = 3
 STREAM_BALANCE = 4
 
-# Rows per generation and CSV block. The output bytes do not depend on it;
-# 2048 rows keep each block's temporaries near 1 MB.
+# Rows per generation and CSV write block. The output bytes do not depend on
+# it; 2048 rows keep each block's temporaries near 1 MB.
 _CHUNK = 2048
+
+# Lines per CSV parse block. As 17 Python strings a line takes about 11 times
+# its 136 bytes of float64 values, so a load peaks about 200 KB above the dataset.
+_PARSE_LINES = 128
 
 # One CSV row: 15 features, the 0/1 label, det_pt.
 _ROW_FORMAT = ",".join(["%.17g"] * 15) + ",%d,%.17g\n"
 
-# The manifest entries that load, split and regenerate read.
-_MANIFEST_KEYS = {"count", "seed", "requested_count", "symmetry", "rank", "balanced"}
+# The manifest entries that load, split and regenerate read, each with what
+# load requires of it. `type(v) is int` refuses JSON true and false.
+_MANIFEST_ENTRIES = {
+    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "requested_count": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "rank": ("an integer in 1..4", lambda v: type(v) is int and 1 <= v <= 4),
+    "symmetry": (f"one of {SYMMETRY_MODES}", lambda v: v in SYMMETRY_MODES),
+    "balanced": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 class DatasetFormatError(ValueError):
@@ -365,112 +376,98 @@ def _read_arrays(path: str, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return features, labels, det_pt
 
 
-def _parse_table(
-    path: str, handle: TextIO, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Features, labels and det_pt of the manifest's `rows` lines after the
-    header, or None if np.loadtxt cannot vouch for them.
+def _row_values(path: str, lineno: int, line: str) -> list[float]:
+    """The 17 values of CSV file line `lineno`, or a DatasetFormatError naming it."""
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != 17:
+        raise DatasetFormatError(f"{path}: row {lineno}: expected 17 fields, got {len(cells)}")
+    try:
+        values = [float(c) for c in cells[:15]]
+        det = float(cells[16])
+        values.append(_label_value(cells[15]))
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: row {lineno}: {exc}") from exc
+    values.append(det)
+    if not all(map(math.isfinite, values)):
+        raise DatasetFormatError(f"{path}: row {lineno}: non-finite value")
+    return values
 
-    The body is parsed in `_CHUNK`-line blocks written straight into the final
-    arrays, so a load holds the dataset once plus one block. Each block reads
-    exactly its lines through `itertools.islice` from the text handle, whose
-    universal newlines end a line at "\n", "\r\n" or a lone "\r" alike.
-    loadtxt skips blank lines, so a block with fewer rows than lines, like a
-    file with fewer lines than `rows` or any text after the last of them, is
-    handed to the per-row parser like any parse error.
+
+def _parse_block(path: str, first: int, lines: list[str]) -> np.ndarray:
+    """The (len(lines), 17) table of the CSV lines numbered from `first`: one
+    np.array call converts every cell with float(), the grammar of `_row_values`
+    (a line's trailing newline is whitespace to it). A block that call does not
+    vouch for goes line by line, raising the error of its first bad row."""
+    cells = [line.split(",") for line in lines]
+    try:
+        block = np.array(cells, dtype=float)
+    except ValueError:  # a cell float() rejects, or rows of unequal length
+        valid = False
+    else:
+        valid = block.shape == (len(lines), 17) and np.isfinite(block).all()
+    if not (valid and {row[15] for row in cells} <= {"0", "1"}):
+        block = np.array([_row_values(path, first + i, line) for i, line in enumerate(lines)])
+    return block
+
+
+def _parse_body(path: str, handle: TextIO, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features, labels and det_pt of the `count` lines after the header.
+
+    The arrays are sized from `count` only if the file holds 33 bytes per row
+    (17 one-character fields, 16 commas), and filled from `_PARSE_LINES`-line
+    blocks read through `itertools.islice` from the text handle, whose
+    universal newlines end a line at "\n", "\r\n" or a lone "\r". Lines past
+    the arrays are checked one by one and counted; a count mismatch raises last.
     """
+    rows = count if count * 33 <= os.fstat(handle.fileno()).st_size else 0
     features = np.empty((rows, 15))
     labels = np.empty(rows, dtype=bool)
     det_pt = np.empty(rows)
-    for start in range(0, rows, _CHUNK):
-        k = min(_CHUNK, rows - start)
-        try:
-            with warnings.catch_warnings():
-                # A block of blank lines parses to no rows; the shape check below catches it.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                block = np.loadtxt(
-                    itertools.islice(handle, k),
-                    delimiter=",",
-                    comments=None,
-                    converters={15: _label_value},
-                    ndmin=2,
-                )
-        except ValueError:
-            return None
-        if block.shape != (k, 17):
-            return None
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise DatasetFormatError(
-                f"{path}: row {start + np.argmin(finite) + 2}: non-finite value"
-            )
-        features[start : start + k] = block[:, :15]
-        labels[start : start + k] = block[:, 15] == 1.0
-        det_pt[start : start + k] = block[:, 16]
-        del block  # else it stays alive while loadtxt builds the next one
-    if handle.read(1):
-        return None
+    n = 0
+    while n < rows:
+        lines = list(itertools.islice(handle, min(_PARSE_LINES, rows - n)))
+        if not lines:
+            break
+        block = _parse_block(path, n + 2, lines)
+        features[n : n + len(lines)] = block[:, :15]
+        labels[n : n + len(lines)] = block[:, 15] == 1.0
+        det_pt[n : n + len(lines)] = block[:, 16]
+        n += len(lines)
+    for line in handle:
+        n += 1
+        _row_values(path, n + 1, line)
+    if n != count:
+        raise DatasetIntegrityError(f"{path}: manifest count {count} != {n} rows")
     return features, labels, det_pt
-
-
-def _parse_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row parser: raises DatasetFormatError naming the first bad row."""
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        handle.readline()
-        for lineno, line in enumerate(handle, start=2):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != 17:
-                raise DatasetFormatError(
-                    f"{path}: row {lineno}: expected 17 fields, got {len(cells)}"
-                )
-            try:
-                values = [float(c) for c in cells[:15]]
-                det = float(cells[16])
-                values.append(_label_value(cells[15]))
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: row {lineno}: {exc}") from exc
-            values.append(det)
-            if not all(map(math.isfinite, values)):
-                raise DatasetFormatError(f"{path}: row {lineno}: non-finite value")
-            rows.append(values)
-    table = np.array(rows, dtype=float).reshape(len(rows), 17)
-    return np.ascontiguousarray(table[:, :15]), table[:, 15] == 1.0, table[:, 16].copy()
 
 
 def load(path: str) -> Dataset:
     """Read a dataset back; refuses silently truncated or inconsistent files.
 
-    The row count is the manifest's `count`, which must be an integer >= 0.
-    The arrays are allocated from it only if the CSV file holds at least 33
-    bytes per row (17 one-character fields and their 16 commas); otherwise
-    the per-row parser reports the mismatch. They come from the binary sidecar
-    only if it is the one `save` wrote for exactly these bytes (see
-    `_read_arrays`); otherwise the CSV is parsed in blocks, and for any file
-    the blocks cannot vouch for, row by row. All paths return the same arrays,
-    and every error but a bad manifest comes from the CSV.
+    The manifest must hold each entry of `_MANIFEST_ENTRIES` as described
+    there; its `count` is the number of rows. The arrays come from the binary
+    sidecar only if `save` wrote it for exactly these bytes (`_read_arrays`),
+    else from the CSV (`_parse_body`), the same arrays either way. Every error
+    but a bad manifest comes from the CSV.
     """
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         raise DatasetIntegrityError(f"missing manifest sidecar {mpath}")
     with open(mpath, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if not isinstance(manifest, dict) or not _MANIFEST_KEYS <= manifest.keys():
+    if not isinstance(manifest, dict) or not _MANIFEST_ENTRIES.keys() <= manifest.keys():
         raise DatasetIntegrityError(
-            f"{mpath}: manifest must be a JSON object with {', '.join(sorted(_MANIFEST_KEYS))}"
+            f"{mpath}: manifest must be a JSON object with {', '.join(sorted(_MANIFEST_ENTRIES))}"
         )
+    for entry, (requirement, valid) in _MANIFEST_ENTRIES.items():
+        if not valid(value := manifest[entry]):
+            raise DatasetIntegrityError(f"{mpath}: {entry} must be {requirement}, got {value!r}")
     count = manifest["count"]
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise DatasetIntegrityError(f"{mpath}: count must be an integer >= 0, got {count!r}")
-
-    columns = None
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise DatasetFormatError(f"{path}: unexpected header {header!r}")
-        if count * 33 <= os.fstat(handle.fileno()).st_size:
-            columns = _read_arrays(path, count) or _parse_table(path, handle, count)
-    columns = columns or _parse_rows(path)
+        columns = _read_arrays(path, count) or _parse_body(path, handle, count)
 
     ds = Dataset(*columns, manifest)
     _check_invariants(ds, path)

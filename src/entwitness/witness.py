@@ -136,8 +136,10 @@ def sweep_measurements(
     fractions = tuple(s / total for s in sizes)
     rows = []
     for seed in seeds:
-        ds = generate(total, symmetry=symmetry, seed=derived_seed(seed, STREAM_DATA), rank=rank)
-        train_ds, val_ds, test_ds = split(ds, fractions, derived_seed(seed, STREAM_SPLIT))
+        train_ds, val_ds, test_ds = split(  # the whole corpus is freed once split
+            generate(total, symmetry=symmetry, seed=derived_seed(seed, STREAM_DATA), rank=rank),
+            fractions, derived_seed(seed, STREAM_SPLIT),
+        )
         for m in m_values:
             model = nn.model_new("linear_code", derived_seed(seed, STREAM_INIT, m), m=m)
             config = replace(base, seed=derived_seed(seed, STREAM_SHUFFLE, m))

@@ -240,6 +240,7 @@ def assert_load_peak_below_dataset_plus_two_blocks(path):
         tracemalloc.stop()
     final = loaded.features.nbytes + loaded.labels.nbytes + loaded.det_pt.nbytes
     assert peak < final + 2 * data._CHUNK * 17 * 8
+    return loaded
 
 
 @pytest.fixture
@@ -267,7 +268,7 @@ GOLDEN_DIGESTS = {
 
 # Edits of a saved 20-row file (lines[0] is the header), with the error and
 # message load raises. Apart from the non-finite cases, each outcome is the
-# one the per-row parser gave before np.loadtxt fronted it.
+# one the whole-file per-row parser gave before block parsing replaced it.
 MALFORMED = [
     pytest.param(
         lambda lines: lines.insert(4, ""),
@@ -336,8 +337,8 @@ MALFORMED = [
         "{path}: row 6: non-finite value",
         id="nan-before-bad-label",
     ),
-    # The manifest's count says how many lines are parsed in blocks; the
-    # per-row parser still counts every line of a file that does not match it.
+    # The manifest's count says how many lines are parsed in blocks; every
+    # line past them is still checked and counted.
     pytest.param(
         lambda lines: lines.insert(8, lines[8]),
         DatasetIntegrityError,
@@ -464,7 +465,7 @@ class TestSaveLoad:
         # A well-formed file never needs the per-row parser (the binary sidecar
         # is removed so that the CSV is parsed).
         os.unlink(arrays_path(path))
-        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        monkeypatch.setattr(data, "_row_values", lambda *args: pytest.fail("per-row parse"))
         loaded = load(path)
         assert loaded.equals(ds)
         for array in (loaded.features, loaded.labels, loaded.det_pt):
@@ -488,7 +489,7 @@ class TestSaveLoad:
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("edit, error, message", MALFORMED)
     def test_malformed_file_in_later_block(self, saved20, monkeypatch, chunk, edit, error, message):
-        monkeypatch.setattr(data, "_CHUNK", chunk)
+        monkeypatch.setattr(data, "_PARSE_LINES", chunk)
         self.test_malformed_file(saved20, edit, error, message)
 
     @pytest.mark.parametrize("rows", [2047, 2048, 2049, 4097])
@@ -504,9 +505,9 @@ class TestSaveLoad:
         expected = (np.ascontiguousarray(table[:, :15]), table[:, 15] == 1.0, table[:, 16].copy())
         # A block that read more or fewer lines than its rows would desynchronise
         # the next one and end in the per-row parser.
-        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        monkeypatch.setattr(data, "_row_values", lambda *args: pytest.fail("per-row parse"))
         for chunk in (1, 7, 2048):
-            monkeypatch.setattr(data, "_CHUNK", chunk)
+            monkeypatch.setattr(data, "_PARSE_LINES", chunk)
             loaded = load(path)
             for array, reference in zip((loaded.features, loaded.labels, loaded.det_pt), expected):
                 assert array.dtype == reference.dtype
@@ -525,7 +526,7 @@ class TestSaveLoad:
     def test_sidecar_load_peaks_below_dataset_plus_two_blocks(self, tmp_path, monkeypatch):
         path = str(tmp_path / "d.csv")
         save(generate(20_000, symmetry="cylindrical", seed=4), path)
-        monkeypatch.setattr(data, "_parse_table", lambda *args: pytest.fail("CSV parse"))
+        monkeypatch.setattr(data, "_parse_body", lambda *args: pytest.fail("CSV parse"))
         # Reading the sidecar whole and then copying the arrays out of it would
         # peak near twice the dataset.
         assert_load_peak_below_dataset_plus_two_blocks(path)
@@ -539,7 +540,7 @@ class TestSaveLoad:
         # CRLF and all-"\r" files are parsed in blocks like any other.
         ds, path = saved20
         raw = Path(path).read_bytes()
-        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        monkeypatch.setattr(data, "_row_values", lambda *args: pytest.fail("per-row parse"))
         for ending in (b"\r\n", b"\r"):
             Path(path).write_bytes(raw.replace(b"\n", ending))
             assert load(path).equals(ds)
@@ -551,14 +552,15 @@ class TestSaveLoad:
         raw = Path(path).read_bytes()
         cut = raw.index(b"\n", raw.index(b"\n") + 1)
         Path(path).write_bytes(raw[:cut] + b"\r" + raw[cut + 1 :])
-        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+        monkeypatch.setattr(data, "_row_values", lambda *args: pytest.fail("per-row parse"))
         assert load(path).equals(ds)
 
-    def test_underscore_digits_accepted(self, saved20):
-        # Python's float() reads "1_0" as 10.0; loadtxt does not, so this
-        # file takes the per-row parser and loads as before.
+    def test_underscore_digits_accepted(self, saved20, monkeypatch):
+        # Python's float() reads "1_0" as 10.0, and so does the one numpy call
+        # that converts a block, which loads the file as before.
         ds, path = saved20
         _rewrite(path, _set_cell(7, 4, "1_0"))
+        monkeypatch.setattr(data, "_row_values", lambda *args: pytest.fail("per-row parse"))
         loaded = load(path)
         expected = ds.features.copy()
         expected[6, 4] = 10.0
@@ -586,10 +588,39 @@ class TestSaveLoad:
             load(path)
         assert str(err.value) == f"{manifest_path(path)}: count must be an integer >= 0, got {count!r}"
 
+    # Each entry regenerate reads, with a value of the wrong type or range. A
+    # JSON bool is not an integer, and a truthy string is not a bool.
+    @pytest.mark.parametrize(
+        "entry, value, requirement",
+        [
+            ("seed", "1", "an integer >= 0"),
+            ("seed", -1, "an integer >= 0"),
+            ("seed", True, "an integer >= 0"),
+            ("requested_count", "20", "an integer >= 1"),
+            ("requested_count", 0, "an integer >= 1"),
+            ("rank", 4.0, "an integer in 1..4"),
+            ("rank", 5, "an integer in 1..4"),
+            ("rank", False, "an integer in 1..4"),
+            ("symmetry", 3, "one of ('none', 'cylindrical')"),
+            ("symmetry", "Cylindrical", "one of ('none', 'cylindrical')"),
+            ("balanced", "no", "true or false"),
+            ("balanced", 1, "true or false"),
+            ("balanced", None, "true or false"),
+        ],
+    )
+    def test_bad_manifest_entry_rejected(self, saved20, entry, value, requirement):
+        _, path = saved20
+        manifest = json.loads(Path(manifest_path(path)).read_text())
+        Path(manifest_path(path)).write_text(json.dumps({**manifest, entry: value}))
+        os.unlink(path)  # the entry is refused before the CSV file is opened
+        with pytest.raises(DatasetIntegrityError) as err:
+            load(path)
+        assert str(err.value) == f"{manifest_path(path)}: {entry} must be {requirement}, got {value!r}"
+
     def test_huge_manifest_count_allocates_nothing(self, saved20):
         # 10**15 rows cannot fit in the file's bytes, so no array is sized from
-        # the count and the per-row parser reports the mismatch, within the
-        # bound of assert_load_peak_below_dataset_plus_two_blocks.
+        # the count; every line is checked alone and the mismatch reported,
+        # within the bound of assert_load_peak_below_dataset_plus_two_blocks.
         ds, path = saved20
         _set_manifest_count(path, 10**15)
         tracemalloc.start()
@@ -600,6 +631,40 @@ class TestSaveLoad:
         finally:
             tracemalloc.stop()
         assert str(err.value) == f"{path}: manifest count 1000000000000000 != 20 rows"
+        final = ds.features.nbytes + ds.labels.nbytes + ds.det_pt.nbytes
+        assert peak < final + 2 * data._CHUNK * 17 * 8
+
+    # One cell of the last row of a 20k-row corpus without its sidecar. Loading
+    # it must not fall back to a whole-file parse that holds every row in lists.
+    @staticmethod
+    def saved20k_with_last_cell(tmp_path, text_of):
+        ds = generate(20_000, symmetry="cylindrical", seed=4)
+        path = str(tmp_path / "d.csv")
+        save(ds, path)
+        os.unlink(arrays_path(path))
+        _rewrite(path, lambda lines: _set_cell(-1, 4, text_of(lines[-1].split(",")[4]))(lines))
+        return ds, path
+
+    def test_float_only_cell_in_last_row_loads_within_bound(self, tmp_path):
+        # "0.36" and "0.3_6" are the same number to float() but not to loadtxt.
+        def underscored(text):
+            i = next(i for i in range(1, len(text)) if text[i - 1 : i + 1].isdigit())
+            return text[:i] + "_" + text[i:]
+
+        ds, path = self.saved20k_with_last_cell(tmp_path, underscored)
+        assert "_" in Path(path).read_text().splitlines()[-1]
+        assert same_bytes(assert_load_peak_below_dataset_plus_two_blocks(path), ds, slice(None))
+
+    def test_bad_cell_in_last_row_named_within_bound(self, tmp_path):
+        ds, path = self.saved20k_with_last_cell(tmp_path, lambda text: "abc")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError) as err:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{path}: row 20001: could not convert string to float: 'abc'"
         final = ds.features.nbytes + ds.labels.nbytes + ds.det_pt.nbytes
         assert peak < final + 2 * data._CHUNK * 17 * 8
 
@@ -626,26 +691,30 @@ class TestScan:
         with open(path, encoding="utf-8") as handle:
             text_lines = list(handle)
         path.write_bytes(CSV_HEADER.encode() + b"\n" + body)
-        manifest = {key: None for key in data._MANIFEST_KEYS}
-        monkeypatch.setattr(data, "_CHUNK", block)
-        monkeypatch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
-        # loadtxt skips a blank line, so a file holding one is never parsed in blocks.
-        if "\n" in text_lines:
-            Path(manifest_path(str(path))).write_text(json.dumps({**manifest, "count": len(text_lines)}))
-            with pytest.raises(pytest.fail.Exception, match="per-row parse"):
-                load(str(path))
-            return
-        labels = [line.startswith(ROW_B.decode()) for line in text_lines]
-        for count in (len(text_lines) - 1, len(text_lines), len(text_lines) + 1):
+        manifest = {"seed": 0, "requested_count": 1, "symmetry": "none", "rank": 4, "balanced": False}
+        monkeypatch.setattr(data, "_PARSE_LINES", block)
+
+        def load_with_count(count):
             Path(manifest_path(str(path))).write_text(json.dumps({**manifest, "count": count}))
-            if count != len(text_lines):
-                with pytest.raises(pytest.fail.Exception, match="per-row parse"):
-                    load(str(path))
-                continue
-            ds = load(str(path))
-            assert ds.labels.tolist() == labels
-            assert ds.det_pt.tolist() == [-0.25 if label else 0.25 for label in labels]
-            assert ds.features.shape == (count, 15) and (ds.features == 0.5).all()
+            return load(str(path))
+
+        # A blank line is a row of one field.
+        if "\n" in text_lines:
+            with pytest.raises(DatasetFormatError) as err:
+                load_with_count(len(text_lines))
+            row = text_lines.index("\n") + 2
+            assert str(err.value) == f"{path}: row {row}: expected 17 fields, got 1"
+            return
+        for count in (len(text_lines) - 1, len(text_lines) + 1):
+            with pytest.raises(DatasetIntegrityError) as err:
+                load_with_count(count)
+            assert str(err.value) == f"{path}: manifest count {count} != {len(text_lines)} rows"
+        monkeypatch.setattr(data, "_row_values", lambda *args: pytest.fail("per-row parse"))
+        ds = load_with_count(len(text_lines))
+        labels = [line.startswith(ROW_B.decode()) for line in text_lines]
+        assert ds.labels.tolist() == labels
+        assert ds.det_pt.tolist() == [-0.25 if label else 0.25 for label in labels]
+        assert ds.features.shape == (len(text_lines), 15) and (ds.features == 0.5).all()
 
     @pytest.mark.parametrize("second", [b"\n", b"x\n"])
     def test_return_at_end_of_read(self, tmp_path, second):
@@ -657,11 +726,12 @@ class TestScan:
         for rows in (lines - 1, lines, lines + 1):
             with open(path, encoding="utf-8") as handle:
                 handle._CHUNK_SIZE = len(ROW_A) + 1
-                columns = data._parse_table(str(path), handle, rows)
-            if rows != lines:
-                assert columns is None
-            else:
-                assert columns[1].tolist() == [False, True][:lines]
+                if rows != lines:
+                    with pytest.raises(DatasetIntegrityError, match=f"count {rows} != {lines} rows"):
+                        data._parse_body(str(path), handle, rows)
+                    continue
+                columns = data._parse_body(str(path), handle, rows)
+            assert columns[1].tolist() == [False, True][:lines]
 
 
 def _sidecar(digest, ds, **fields):
@@ -731,8 +801,7 @@ class TestArraysSidecar:
         path = str(tmp_path / "d.csv")
         save(ds, path)
         with monkeypatch.context() as patch:
-            patch.setattr(data, "_parse_table", lambda *args: pytest.fail("CSV parse"))
-            patch.setattr(data, "_parse_rows", lambda path: pytest.fail("per-row parse"))
+            patch.setattr(data, "_parse_body", lambda *args: pytest.fail("CSV parse"))
             from_sidecar = load(path)
         os.unlink(arrays_path(path))
         from_csv = load(path)

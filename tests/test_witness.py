@@ -1,5 +1,7 @@
 """Tests for witness evaluation, precision-1 calibration, and the m-sweep."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,27 @@ class TestSweep:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             sweep_measurements([0], sizes=(100, 50, 50), seeds=(0,))
+
+    def test_corpus_freed_before_training(self, monkeypatch):
+        # Only the three split parts stay alive while the cells train.
+        class TrainingStarted(Exception):
+            pass
+
+        corpora = []
+
+        def generate_tracked(*args, **kwargs):
+            ds = generate(*args, **kwargs)
+            corpora.append(weakref.ref(ds))
+            return ds
+
+        def train_checked(*args, **kwargs):
+            assert corpora and all(ref() is None for ref in corpora)
+            raise TrainingStarted
+
+        monkeypatch.setattr(witness, "generate", generate_tracked)
+        monkeypatch.setattr(nn, "train", train_checked)
+        with pytest.raises(TrainingStarted):
+            sweep_measurements([1], sizes=(100, 50, 50), seeds=(0,))
 
     def test_report_dict_shape(self):
         model, ds = scored_dataset(np.array([0.1]), np.array([0.9]))
