@@ -251,6 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is not None:  # only weights may go without --out, writing to stdout
+        directory = os.path.dirname(args.out) or "."
+        if not os.path.isdir(directory):
+            parser.error(f"argument --out: directory {directory!r} does not exist")
+        if os.path.isdir(args.out):
+            parser.error(f"argument --out: {args.out!r} is a directory")
     if args.command == "sweep" and len(args.sizes) != 3:
         parser.error("--sizes needs three comma-separated counts")
     if args.command == "train" and args.arch == "linear" and args.m is None:

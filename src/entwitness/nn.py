@@ -1,23 +1,23 @@
 """Small feedforward network engine with manual backpropagation.
 
-Supports exactly the two classifier shapes used for witness training: the
-full-information bottleneck net (relu encoder/decoder around a linear code)
-and the linear-code net whose bias-free first layer is the set of learned
-linear measurements. Everything is plain numpy and deterministic in the seeds.
+Builds exactly the two classifier shapes used for witness training, each fixed
+by its widths: the full-information bottleneck net (relu encoder/decoder around
+a linear code) and the linear-code net whose bias-free first layer is the set of
+learned linear measurements. Everything is plain numpy and deterministic in the seeds.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import _write_atomic
 
-ACTIVATIONS = ("linear", "relu", "sigmoid")
-ARCHITECTURES = ("nonlinear_full", "linear_code", "custom")
+ARCHITECTURES = ("nonlinear_full", "linear_code")
 
 SCORE_CLAMP = 1e-12
 
@@ -50,43 +50,63 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer as a model file records it; only `_layer_specs` makes them."""
+
     width: int
     activation: str
     has_bias: bool = True
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"layer width must be >= 1, got {self.width}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+
+def _layer_specs(architecture: str, widths: Sequence[int]) -> tuple[LayerSpec, ...]:
+    """The layers `architecture` builds from `widths`, input side first: for "nonlinear_full"
+    the encoder's relu widths, then the code width (the decoder mirrors the relu layers); for
+    "linear_code" the code width m, then the relu widths. Relu layers have a bias, the linear
+    code has one only in "nonlinear_full", and the output is one sigmoid unit."""
+    if architecture == "nonlinear_full":
+        if len(widths) < 2:
+            raise ValueError("nonlinear_full needs at least one relu layer plus a code")
+        relu = [LayerSpec(w, "relu") for w in widths[:-1]]
+        specs = [*relu, LayerSpec(widths[-1], "linear"), *reversed(relu)]
+    elif architecture == "linear_code":
+        m = widths[0] if widths else None
+        if m is None or not 1 <= m <= 15:
+            raise ValueError(f"linear_code needs m in 1..15, got {m}")
+        specs = [LayerSpec(m, "linear", has_bias=False)]
+        specs += (LayerSpec(w, "relu") for w in widths[1:])
+    else:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    if min(spec.width for spec in specs) < 1:
+        raise ValueError(f"layer widths must be >= 1, got {tuple(widths)}")
+    return (*specs, LayerSpec(1, "sigmoid"))
 
 
 @dataclass(eq=False)
 class MlpModel:
-    """Layer specs plus one flat `params` array; `weights` (per layer, shape
-    (fan_out, fan_in)) and `biases` are views into it."""
+    """An architecture, its widths (as `_layer_specs` takes them) and one flat `params` array,
+    zeroed when not given; `weights` (per layer, shape (fan_out, fan_in)) and `biases` are
+    views into it. Every layer but the linear code (index `code`) and the output is relu."""
 
     input_width: ClassVar[int] = 15
-    layer_specs: tuple[LayerSpec, ...]
-    params: np.ndarray
-    architecture: str = "custom"
+    architecture: str
+    widths: tuple[int, ...]
+    params: np.ndarray | None = None
     training_config: "TrainConfig | None" = None
     best_epoch: int | None = None
+    layer_specs: tuple[LayerSpec, ...] = field(init=False)
+    code: int = field(init=False)
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.layer_specs = tuple(self.layer_specs)
-        if not self.layer_specs:
-            raise ValueError("model needs at least one layer")
-        if self.layer_specs[-1].width != 1 or self.layer_specs[-1].activation != "sigmoid":
-            raise ValueError("final layer must be width 1 with sigmoid activation")
-        _, self.weights, self.biases = _views(self.layer_specs, self.params)
+        self.widths = tuple(self.widths)
+        self.layer_specs = _layer_specs(self.architecture, self.widths)
+        self.code = 0 if self.architecture == "linear_code" else len(self.widths) - 1
+        self.params, self.weights, self.biases = _views(self.layer_specs, self.params)
 
     @property
     def m(self) -> int | None:
         """The number of learned measurements: the code width of a linear_code model."""
-        return self.layer_specs[0].width if self.architecture == "linear_code" else None
+        return self.widths[0] if self.architecture == "linear_code" else None
 
 
 @dataclass(frozen=True)
@@ -145,14 +165,6 @@ def _views(
     return params, weights, biases
 
 
-def _init_params(rng: np.random.Generator, specs: Sequence[LayerSpec]) -> np.ndarray:
-    """Gaussian weights scaled by 1/sqrt(fan_in), drawn layer by layer; biases start at zero."""
-    params, weights, _ = _views(specs)
-    for w in weights:
-        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
-    return params
-
-
 def model_new(
     architecture: str,
     seed: int,
@@ -165,30 +177,17 @@ def model_new(
     and widen back symmetrically (`hidden` overrides the encoder widths, code
     last). "linear_code" starts with m bias-free linear nodes, the learned
     measurements, followed by relu layers (`hidden` overrides their widths).
+    Weights are Gaussian scaled by 1/sqrt(fan_in), layer by layer; biases are 0.
     """
-    if architecture == "nonlinear_full":
-        enc = tuple(hidden) if hidden is not None else FULL_ENCODER_WIDTHS
-        if len(enc) < 2:
-            raise ValueError("nonlinear_full needs at least one relu layer plus a code")
-        specs = [LayerSpec(w, "relu") for w in enc[:-1]]
-        specs.append(LayerSpec(enc[-1], "linear"))
-        specs.extend(LayerSpec(w, "relu") for w in reversed(enc[:-1]))
-        specs.append(LayerSpec(1, "sigmoid"))
-    elif architecture == "linear_code":
-        if m is None or not 1 <= m <= 15:
-            raise ValueError(f"linear_code needs m in 1..15, got {m}")
-        widths = tuple(hidden) if hidden is not None else LINEAR_HIDDEN_WIDTHS
-        specs = [LayerSpec(m, "linear", has_bias=False)]
-        specs.extend(LayerSpec(w, "relu") for w in widths)
-        specs.append(LayerSpec(1, "sigmoid"))
+    if architecture == "linear_code":
+        widths = (m, *(LINEAR_HIDDEN_WIDTHS if hidden is None else hidden))
     else:
-        raise ValueError(f"unknown architecture {architecture!r}")
-
-    return MlpModel(
-        layer_specs=specs,
-        params=_init_params(np.random.default_rng(seed), specs),
-        architecture=architecture,
-    )
+        widths = FULL_ENCODER_WIDTHS if hidden is None else hidden
+    model = MlpModel(architecture, widths)
+    rng = np.random.default_rng(seed)
+    for w in model.weights:
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
+    return model
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -201,18 +200,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _layer(
-    a: np.ndarray, w: np.ndarray, b: np.ndarray | None, activation: str, out: np.ndarray | None = None
-) -> np.ndarray:
-    """One layer's output for input rows a, written into `out` when given."""
-    z = np.matmul(a, w.T, out=out)
-    if b is not None:
-        z += b
-    if activation == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif activation == "sigmoid":
-        _sigmoid(z)
-    return z
+def _layers(model: MlpModel, a: np.ndarray, outputs: list | None = None) -> np.ndarray:
+    """Scores, shape (rows, 1), for input rows a; layer i writes into outputs[i] when
+    given. Every layer but the code and the output is relu; the output is sigmoid."""
+    last = len(model.weights) - 1
+    for i, (w, b, out) in enumerate(zip(model.weights, model.biases, outputs or repeat(None))):
+        a = np.matmul(a, w.T, out=out)
+        if b is not None:
+            a += b
+        if i == last:
+            _sigmoid(a)
+        elif i != model.code:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
 def _bce(scores: np.ndarray, y: np.ndarray) -> float:
@@ -246,17 +246,13 @@ def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     the default widths (the sigmoid output, the m=1 code) on one OpenBLAS thread,
     so scores do not depend on the thread count; measured with OpenBLAS 0.3.31,
     which splits the 384-input output layer of `nonlinear_full` from about 1200
-    rows. A wider custom output layer, or a training batch above about 1200 rows
-    on `nonlinear_full`, may still be split across threads and round a few rows
-    differently.
+    rows. A training batch above about 1200 rows on `nonlinear_full` may still
+    be split across threads and round a few rows differently.
     """
     x = _check_batch(model, batch)
     scores = np.empty(x.shape[0])
     for rows in _score_blocks(x.shape[0]):
-        a = x[rows]
-        for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
-            a = _layer(a, w, b, spec.activation)
-        scores[rows] = a[:, 0]
+        scores[rows] = _layers(model, x[rows])[:, 0]
     return scores
 
 
@@ -311,11 +307,8 @@ def loss_and_gradients(
         workspace = Workspace(model)
     outputs, mask = workspace.buffers(batch.shape[0])
 
-    a = batch
-    for spec, w, b, out in zip(model.layer_specs, model.weights, model.biases, outputs):
-        a = _layer(a, w, b, spec.activation, out)
+    scores = _layers(model, batch, outputs)[:, 0]
     acts = [batch, *outputs]  # index i+1 is the output of layer i
-    scores = a[:, 0]
     loss = _bce(scores, y)
 
     # Fused sigmoid + cross-entropy derivative at the output, over the scores.
@@ -328,22 +321,17 @@ def loss_and_gradients(
             np.sum(delta, axis=0, out=workspace._bias_grads[i])
         if i == 0:
             break
-        # The derivative is taken from layer i - 1's output before its delta overwrites it.
+        # A relu mask is taken from layer i - 1's output before its delta overwrites it.
         below = acts[i]
-        activation = model.layer_specs[i - 1].activation
-        derivative = None
-        if activation == "relu":
-            derivative = np.greater(below, 0.0, out=mask[: below.size].reshape(below.shape))
-        elif activation == "sigmoid":
-            derivative = below.copy()
+        relu_mask = None
+        if i - 1 != model.code:
+            relu_mask = np.greater(below, 0.0, out=mask[: below.size].reshape(below.shape))
         if delta.shape[1] == 1:
             np.multiply(delta, model.weights[i], out=below)  # a k = 1 product, exactly
         else:
             np.matmul(delta, model.weights[i], out=below)
-        if derivative is not None:
-            below *= derivative  # a bool relu mask multiplies exactly, as 1.0 and 0.0
-            if activation == "sigmoid":
-                below *= np.subtract(1.0, derivative, out=derivative)
+        if relu_mask is not None:
+            below *= relu_mask  # a bool mask multiplies exactly, as 1.0 and 0.0
         delta = below
     return loss, workspace.grad
 
@@ -461,10 +449,11 @@ def save_model(model: MlpModel, path: str) -> None:
 # Old training_config entries (the update rule, the Adam constants), loaded only at these values.
 _RECORDED_ADAM = {"optimizer": "adam", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
-# Every entry save_model writes, with the JSON types load_model accepts for it.
+# Every entry save_model writes, with the JSON types load_model accepts for it. Types
+# are matched exactly, so a JSON true or false is not an integer.
 _MODEL_ENTRIES = {
-    "architecture": str, "m": (int, type(None)), "input_width": int,
-    "layer_specs": list, "weights": list, "biases": list,
+    "architecture": (str,), "m": (int, type(None)), "input_width": (int,),
+    "layer_specs": (list,), "weights": (list,), "biases": (list,),
     "training_config": (dict, type(None)), "best_epoch": (int, type(None)),
 }
 
@@ -476,7 +465,11 @@ def _load_training_config(recorded: dict | None) -> TrainConfig | None:
     extra = {key: value for key, value in recorded.items() if key not in known}
     if not extra.items() <= _RECORDED_ADAM.items():
         raise ValueError(f"unsupported training_config entries {extra}")
-    return TrainConfig(**{key: value for key, value in recorded.items() if key in known})
+    config = {key: value for key, value in recorded.items() if key in known}
+    for key, value in config.items():  # here too, a JSON true or false is not a number
+        if type(value) is not int and not (key == "learning_rate" and type(value) is float):
+            raise ValueError(f"training_config entry {key!r} is of the wrong JSON type")
+    return TrainConfig(**config)
 
 
 def _copy_recorded(what: str, view: np.ndarray | None, recorded) -> None:
@@ -496,27 +489,33 @@ def load_model(path: str) -> MlpModel:
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise ValueError("model file must hold a JSON object")
-        for key, kind in _MODEL_ENTRIES.items():
-            if key not in payload or not isinstance(payload[key], kind):
+        for key, kinds in _MODEL_ENTRIES.items():
+            if key not in payload or type(payload[key]) not in kinds:
                 raise ValueError(f"entry {key!r} is missing or of the wrong JSON type")
         if payload["input_width"] != 15:
             raise ValueError(f"input_width must be 15, got {payload['input_width']!r}")
-        if payload["architecture"] not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {payload['architecture']!r}")
-        specs = [LayerSpec(**s) for s in payload["layer_specs"]]
-        params, weights, biases = _views(specs)
-        if not len(payload["weights"]) == len(payload["biases"]) == len(specs):
-            raise ValueError(f"weights and biases must list all {len(specs)} layers")
-        for i, (w, b) in enumerate(zip(payload["weights"], payload["biases"])):
-            _copy_recorded(f"layer {i} weight", weights[i], w)
-            _copy_recorded(f"layer {i} bias", biases[i], b)
+        architecture, recorded = payload["architecture"], payload["layer_specs"]
+        widths = [entry.get("width") if isinstance(entry, dict) else None for entry in recorded]
+        if not all(type(width) is int for width in widths):
+            raise ValueError("every layer_specs entry needs an integer width")
+        # The decoder of nonlinear_full mirrors its encoder; the output layer is never given.
+        widths = widths[: len(widths) // 2] if architecture == "nonlinear_full" else widths[:-1]
         model = MlpModel(
-            layer_specs=specs,
-            params=params,
-            architecture=payload["architecture"],
+            architecture,
+            widths,
             training_config=_load_training_config(payload["training_config"]),
             best_epoch=payload["best_epoch"],
         )
+        # Exactly the layer_specs the architecture builds from the file's widths, compared
+        # as JSON text so that a 1 where true belongs differs too.
+        rebuilt = [asdict(spec) for spec in model.layer_specs]
+        if json.dumps(recorded, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
+            raise ValueError(f"layer_specs differ from those of {architecture} {model.widths}")
+        if not len(payload["weights"]) == len(payload["biases"]) == len(rebuilt):
+            raise ValueError(f"weights and biases must list all {len(rebuilt)} layers")
+        for i, (w, b) in enumerate(zip(payload["weights"], payload["biases"])):
+            _copy_recorded(f"layer {i} weight", model.weights[i], w)
+            _copy_recorded(f"layer {i} bias", model.biases[i], b)
         if payload["m"] != model.m:
             raise ValueError(f"m is {payload['m']!r}, layer_specs give {model.m!r}")
     except (TypeError, ValueError) as exc:

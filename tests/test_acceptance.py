@@ -156,24 +156,17 @@ def test_criterion_03_twirl_correctness():
 
 
 def test_criterion_04_gradient_check():
-    from test_nn import finite_difference_worst_error
+    from test_nn import finite_difference_worst_error, gradient_check_cases
 
     worst = 0.0
     instances = 0
+    architectures = set()
     for seed in range(5):
-        rng = np.random.default_rng(seed)
-        specs = [
-            nn.LayerSpec(4, "linear", has_bias=bool(seed % 2)),
-            nn.LayerSpec(5, "relu"),
-            nn.LayerSpec(3, "sigmoid", has_bias=not seed % 2),
-            nn.LayerSpec(1, "sigmoid"),
-        ]
-        model = nn.MlpModel(specs, nn._init_params(rng, specs))
-        batch = rng.uniform(-1, 1, (6, 15))
-        labels = (rng.uniform(size=6) > 0.5).astype(float)
-        worst = max(worst, finite_difference_worst_error(model, batch, labels))
-        instances += 1
-    ok = worst < 1e-4 and instances >= 5
+        for model, batch, labels in gradient_check_cases(seed):
+            worst = max(worst, finite_difference_worst_error(model, batch, labels))
+            instances += 1
+            architectures.add(model.architecture)
+    ok = worst < 1e-4 and instances >= 5 and architectures == set(nn.ARCHITECTURES)
     announce(4, "gradient-check", ok, f"{instances} instances, worst rel err {worst:.2e}")
     assert ok
 

@@ -56,7 +56,10 @@ class TestGen:
 
     def test_unwritable_path_fails(self, tmp_path):
         out = str(tmp_path / "missing-dir" / "d.csv")
-        assert run(["gen", "--n", "10", "--out", out]) == 1
+        with pytest.raises(SystemExit) as err:
+            run(["gen", "--n", "10", "--out", out])
+        assert err.value.code == 2
+        assert os.listdir(tmp_path) == []
 
     def test_unbalanceable_ensemble_fails_before_writing(self, tmp_path, capsys):
         # Rank-1 states are all entangled, so there is no class to balance against.
@@ -306,6 +309,24 @@ class TestFailFast:
         assert err.value.code == 2
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gen", "--n", "10"], ["train", "--data", "missing.csv"], ["sweep", "--m", "2"],
+         ["weights", "--model", "missing.json"]],
+        ids=["gen", "train", "sweep", "weights"],
+    )
+    @pytest.mark.parametrize("out", ["missing-dir/o.csv", "existing-dir"])
+    def test_unusable_out_is_usage_error(self, tmp_path, monkeypatch, capsys, command, out):
+        """A missing directory, or an existing directory as the file: exit 2, nothing
+        written, and the --data or --model file, which does not exist, is never read."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing-dir").mkdir()
+        with pytest.raises(SystemExit) as err:
+            run([*command, "--out", out])
+        assert err.value.code == 2
+        assert "argument --out: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-dir"]
 
     @pytest.mark.parametrize("fractions", ["0.8,0.1,nan", "nan,0.5,0.5"])
     def test_non_finite_split_named(self, tmp_path, capsys, fractions):

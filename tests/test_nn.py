@@ -53,6 +53,24 @@ def finite_difference_worst_error(model, batch, labels):
     return worst
 
 
+def gradient_check_cases(seed):
+    """A small `hidden=` model of each architecture, its parameters perturbed so that
+    no bias is zero, with a batch and labels to check its gradient on."""
+    rng = np.random.default_rng(seed)
+    models = [
+        model_new("nonlinear_full", seed, hidden=(5, 4, 3)),
+        model_new("linear_code", seed, m=4, hidden=(5, 3)),
+    ]
+    for model in models:
+        model.params += 0.1 * rng.standard_normal(model.params.size)
+        yield model, rng.uniform(-1, 1, (6, 15)), (rng.uniform(size=6) > 0.5).astype(float)
+
+
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def arrays(model):
     return [a for a in model.weights + model.biases if a is not None]
 
@@ -105,8 +123,34 @@ class TestModelNew:
             model_new("linear_code", 0, m=m)
 
     def test_unknown_architecture(self):
+        for architecture in ("transformer", "custom"):
+            with pytest.raises(ValueError, match="unknown architecture"):
+                model_new(architecture, 0)
+
+    def test_layers_follow_the_architecture(self):
+        def relu(width):
+            return LayerSpec(width, "relu")
+
+        output = LayerSpec(1, "sigmoid")
+        assert model_new("nonlinear_full", 0, hidden=(16, 8, 4)).layer_specs == (
+            relu(16), relu(8), LayerSpec(4, "linear"), relu(8), relu(16), output
+        )
+        assert model_new("linear_code", 0, m=4, hidden=(7,)).layer_specs == (
+            LayerSpec(4, "linear", has_bias=False), relu(7), output
+        )
+        assert model_new("linear_code", 0, m=2, hidden=()).layer_specs == (
+            LayerSpec(2, "linear", has_bias=False), output
+        )
+
+    @pytest.mark.parametrize(
+        "architecture, m, hidden",
+        [("nonlinear_full", None, (4,)), ("nonlinear_full", None, (4, 0)),
+         ("linear_code", 2, (8, 0))],
+        ids=["full-code-only", "full-code-0", "linear-relu-0"],
+    )
+    def test_widths_validation(self, architecture, m, hidden):
         with pytest.raises(ValueError):
-            model_new("transformer", 0)
+            model_new(architecture, 0, m=m, hidden=hidden)
 
 
 class TestForward:
@@ -187,10 +231,8 @@ def blocked_score_mismatches():
     found = []
     for model in perturbed_models(rng):
         for n in SCORE_BLOCK_ROWS:
-            a = x[:n]
-            for spec, w, b in zip(model.layer_specs, model.weights, model.biases):
-                a = nn._layer(a, w, b, spec.activation)
-            if not np.array_equal(forward(model, x[:n]).view(np.int64), a[:, 0].view(np.int64)):
+            whole = nn._layers(model, x[:n])[:, 0]
+            if not np.array_equal(forward(model, x[:n]).view(np.int64), whole.view(np.int64)):
                 found.append(f"{model.architecture} m={model.m} n={n}")
     return found
 
@@ -261,9 +303,10 @@ class TestLossAndGradients:
         assert loss == pytest.approx(np.log(2), abs=1e-9)
 
     def test_saturated_correct_predictions(self):
-        params = np.zeros(16)
-        params[0] = 100.0
-        model = MlpModel([LayerSpec(1, "sigmoid")], params)
+        model = model_new("linear_code", 0, m=1, hidden=())
+        model.params[:] = 0.0
+        model.weights[0][0, 0] = 100.0
+        model.weights[1][0, 0] = 1.0
         batch = np.zeros((4, 15))
         batch[:2, 0] = 1.0
         batch[2:, 0] = -1.0
@@ -273,25 +316,18 @@ class TestLossAndGradients:
 
     def test_gradients_match_finite_differences_15_3_4_1(self):
         rng = np.random.default_rng(42)
-        specs = [LayerSpec(3, "relu"), LayerSpec(4, "sigmoid"), LayerSpec(1, "sigmoid")]
-        model = MlpModel(specs, nn._init_params(rng, specs))
+        model = model_new("linear_code", 42, m=3, hidden=(4,))
+        assert [w.shape for w in model.weights] == [(3, 15), (4, 3), (1, 4)]
         batch = rng.uniform(-1, 1, (8, 15))
         labels = (rng.uniform(size=8) > 0.5).astype(float)
         assert finite_difference_worst_error(model, batch, labels) < FD_REL_TOL
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_gradients_across_layer_types_and_bias(self, seed):
-        rng = np.random.default_rng(seed)
-        specs = [
-            LayerSpec(4, "linear", has_bias=bool(seed % 2)),
-            LayerSpec(5, "relu"),
-            LayerSpec(3, "sigmoid", has_bias=not seed % 2),
-            LayerSpec(1, "sigmoid"),
-        ]
-        model = MlpModel(specs, nn._init_params(rng, specs))
-        batch = rng.uniform(-1, 1, (6, 15))
-        labels = (rng.uniform(size=6) > 0.5).astype(float)
-        assert finite_difference_worst_error(model, batch, labels) < FD_REL_TOL
+        """Both architectures: relu layers with biases, a linear code with and without one."""
+        for model, batch, labels in gradient_check_cases(seed):
+            worst = finite_difference_worst_error(model, batch, labels)
+            assert worst < FD_REL_TOL, model.architecture
 
     def test_shape_validation(self):
         model = model_new("linear_code", 0, m=3)
@@ -304,9 +340,8 @@ class TestLossAndGradients:
             lambda: model_new("nonlinear_full", 11),
             lambda: model_new("linear_code", 12, m=1),
             lambda: model_new("linear_code", 13, m=9),
-            lambda: _golden_custom_model(14),
         ],
-        ids=["nonlinear_full", "linear_m1", "linear_m9", "custom_sigmoid"],
+        ids=["nonlinear_full", "linear_m1", "linear_m9"],
     )
     def test_reused_workspace_equals_fresh(self, build):
         """Byte-equal loss and gradient whether the workspace's buffers, which the
@@ -435,7 +470,7 @@ class TestTrain:
             "learning_rate", "batch_size", "max_epochs", "patience", "seed"
         ]
         assert [f.name for f in dataclasses.fields(MlpModel) if f.init] == [
-            "layer_specs", "params", "architecture", "training_config", "best_epoch"
+            "architecture", "widths", "params", "training_config", "best_epoch"
         ]
 
 
@@ -485,7 +520,55 @@ class TestCodeWeights:
             code_weights(model_new("nonlinear_full", 0))
 
 
+def recorded_config(**entries):
+    """The training_config entry of a model file, with `entries` replaced or added."""
+    return {**dataclasses.asdict(TrainConfig()), **entries}
+
+
+def trained_small_full_model():
+    train_ds, val_ds = toy_task(seed=11)
+    config = TrainConfig(learning_rate=1e-2, max_epochs=5, seed=5)
+    return train(model_new("nonlinear_full", 4, hidden=(16, 8, 4)), train_ds, val_ds, config).model
+
+
+#: name -> (model builder, SHA-256 of the bytes save_model writes for it). These
+#: pin the model-file format: files written earlier must keep loading unchanged.
+SAVED_DIGESTS = {
+    "nonlinear_full": (
+        lambda: model_new("nonlinear_full", 1),
+        "e229d366f66b61f57c0049048c72b14883c216d63b750115526111146a721949",
+    ),
+    "nonlinear_full_16_8_4": (
+        lambda: model_new("nonlinear_full", 2, hidden=(16, 8, 4)),
+        "1da2bf6cc34f36d0615c2ac67ba2ee99f126cb521a89cf4744d7f19f88b80f3d",
+    ),
+    "linear_m3": (
+        lambda: model_new("linear_code", 3, m=3),
+        "8812057aa4b401cc5591d2cf5444387425d5ac3a962bcdfb0ac31a88c89c141c",
+    ),
+    "trained": (
+        trained_small_full_model,
+        "4211d86e16c0b0becc457ea079aedae51ebfb6627a784d1e67928e2aa54775e1",
+    ),
+}
+
+
 class TestModelSerialization:
+    @pytest.mark.parametrize("case", sorted(SAVED_DIGESTS))
+    def test_saved_bytes_pinned(self, tmp_path, case):
+        """The file's SHA-256 is pinned, and loading then saving it again gives the
+        same bytes and the same scores."""
+        build, expected = SAVED_DIGESTS[case]
+        model = build()
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        save_model(model, first)
+        assert hashlib.sha256(read_bytes(first)).hexdigest() == expected
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert read_bytes(second) == read_bytes(first)
+        batch = np.random.default_rng(0).uniform(-1, 1, (300, 15))
+        assert forward(loaded, batch).tobytes() == forward(model, batch).tobytes()
+
     def test_round_trip_preserves_forward_bitwise(self, tmp_path):
         train_ds, val_ds = toy_task(seed=11)
         result = train(
@@ -527,9 +610,17 @@ class TestModelSerialization:
             lambda p: p["layer_specs"][0].update(dropout=0.5),
             lambda p: p.pop("best_epoch"),
             lambda p: p.update(m=5),
-            lambda p: p.update(
-                training_config={**dataclasses.asdict(TrainConfig()), "optimizer": "sgd"}
-            ),
+            lambda p: p.update(training_config=recorded_config(optimizer="sgd")),
+            lambda p: p.update(best_epoch=True),
+            lambda p: p.update(m=True),
+            lambda p: p.update(training_config=recorded_config(batch_size=True)),
+            lambda p: p.update(training_config=recorded_config(seed=True)),
+            lambda p: p.update(architecture="custom"),
+            lambda p: p.update(architecture="nonlinear_full", m=None),
+            lambda p: p["layer_specs"][1].update(activation="sigmoid"),
+            lambda p: (p["layer_specs"][0].update(has_bias=True), p["biases"].__setitem__(0, [0])),
+            lambda p: p["layer_specs"][1].update(has_bias=1),
+            lambda p: p["layer_specs"][1].update(width=256.0),
         ],
         ids=[
             "input_width-14",
@@ -545,11 +636,21 @@ class TestModelSerialization:
             "no-best_epoch",
             "m-mismatch",
             "optimizer-sgd",
+            "best_epoch-true",
+            "m-true",
+            "batch_size-true",
+            "seed-true",
+            "architecture-custom",
+            "architecture-swapped",
+            "hidden-sigmoid",
+            "bias-on-linear_code-code",
+            "has_bias-1",
+            "width-float",
         ],
     )
     def test_hand_edited_file_rejected(self, tmp_path, edit):
         path = str(tmp_path / "model.json")
-        save_model(model_new("linear_code", 0, m=2), path)
+        save_model(model_new("linear_code", 0, m=1), path)
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         edit(payload)
@@ -603,33 +704,34 @@ class TestModelSerialization:
 
 class TestModelValidation:
     def test_final_layer_must_be_sigmoid_width_one(self):
-        with pytest.raises(ValueError):
-            MlpModel([LayerSpec(2, "sigmoid")], np.zeros(32))
-        with pytest.raises(ValueError):
-            MlpModel([LayerSpec(1, "relu")], np.zeros(16))
+        for model in (
+            model_new("nonlinear_full", 0, hidden=(4, 2)),
+            model_new("linear_code", 0, m=2, hidden=()),
+        ):
+            assert model.layer_specs[-1] == LayerSpec(1, "sigmoid")
+            assert model.weights[-1].shape[0] == 1 and model.biases[-1].shape == (1,)
 
     def test_shape_chain_checked(self):
-        # 3 x 15 weights and 3 biases, then 1 x 3 weights and 1 bias: 52 values.
-        specs = [LayerSpec(3, "relu"), LayerSpec(1, "sigmoid")]
-        assert MlpModel(specs, np.zeros(52)).weights[1].shape == (1, 3)
-        for size in (51, 53, 64):  # 64: as if the second layer read the 15 inputs
-            with pytest.raises(ValueError, match="of 52 values"):
-                MlpModel(specs, np.zeros(size))
+        # 15 -> 3 -> 2 -> 3 -> 1, every layer with a bias: 48 + 8 + 9 + 4 = 69 values.
+        assert MlpModel("nonlinear_full", (3, 2), np.zeros(69)).weights[3].shape == (1, 3)
+        for size in (68, 70, 85):  # 85: as if the output layer read the 15 inputs
+            with pytest.raises(ValueError, match="of 69 values"):
+                MlpModel("nonlinear_full", (3, 2), np.zeros(size))
 
     def test_bias_consistency_checked(self):
-        specs = [LayerSpec(1, "sigmoid", has_bias=False)]
-        assert MlpModel(specs, np.zeros(15)).biases == [None]
-        with pytest.raises(ValueError, match="of 15 values"):
-            MlpModel(specs, np.zeros(16))
+        # The bias-free code (15 weights), then the output's weight and bias.
+        assert MlpModel("linear_code", (1,), np.zeros(17)).biases[0] is None
+        with pytest.raises(ValueError, match="of 17 values"):
+            MlpModel("linear_code", (1,), np.zeros(18))
 
     @pytest.mark.parametrize(
         "params",
-        [np.zeros(16, dtype=np.float32), np.zeros(32)[::2], np.zeros((1, 16)), [0.0] * 16],
+        [np.zeros(17, dtype=np.float32), np.zeros(34)[::2], np.zeros((1, 17)), [0.0] * 17],
         ids=["float32", "strided", "2-d", "list"],
     )
     def test_params_must_be_flat_contiguous_float64(self, params):
         with pytest.raises(ValueError, match="1-D C-contiguous float64"):
-            MlpModel([LayerSpec(1, "sigmoid")], params)
+            MlpModel("linear_code", (1,), params)
 
     def test_weights_and_biases_view_params(self):
         model = model_new("linear_code", 0, m=2)
@@ -637,17 +739,6 @@ class TestModelValidation:
         assert model.params[2 * 15 + 256 * 2] == 5.0
         for p in arrays(model):
             assert np.shares_memory(p, model.params)
-
-
-def _golden_custom_model(seed):
-    """Bias-free linear code, a hidden sigmoid layer, then relu: every backward branch."""
-    specs = [
-        LayerSpec(5, "linear", has_bias=False),
-        LayerSpec(6, "sigmoid"),
-        LayerSpec(4, "relu"),
-        LayerSpec(1, "sigmoid"),
-    ]
-    return MlpModel(specs, nn._init_params(np.random.default_rng(seed), specs))
 
 
 #: name -> (model builder, config, SHA-256 of the trained weights, biases and
@@ -673,11 +764,6 @@ GOLDEN = {
         lambda: model_new("linear_code", 24, m=15),
         TrainConfig(learning_rate=1e-2, max_epochs=4, seed=34),
         "dd7bf1b3f4937c21f3f8f6c0bd0c04280e49bc02e92dac4394a9ce34e7ba0624",
-    ),
-    "custom_sigmoid": (
-        lambda: _golden_custom_model(25),
-        TrainConfig(learning_rate=1e-2, max_epochs=4, seed=35),
-        "d77f86ec27a8f982aa1a3bf494d75912d8644c6ab4653dae33ca6dbc9c93b92c",
     ),
     "ragged_batches": (
         lambda: model_new("linear_code", 26, m=3),

@@ -7,7 +7,7 @@ import pytest
 
 from entwitness import nn, witness
 from entwitness.data import Dataset, generate, split
-from entwitness.nn import LayerSpec, MlpModel, TrainConfig, model_new
+from entwitness.nn import TrainConfig, model_new
 from entwitness.witness import (
     CalibrationDegenerateError,
     SweepRow,
@@ -24,7 +24,8 @@ def logit(p):
 
 
 def scored_dataset(separable_scores, entangled_scores):
-    """Dataset plus a model that assigns exactly the given sigmoid scores."""
+    """Dataset plus a model that assigns exactly the given sigmoid scores: its one
+    measurement reads the first feature, which the output passes to the sigmoid."""
     scores = np.concatenate([separable_scores, entangled_scores])
     labels = np.concatenate(
         [np.zeros(len(separable_scores), bool), np.ones(len(entangled_scores), bool)]
@@ -33,9 +34,9 @@ def scored_dataset(separable_scores, entangled_scores):
     features[:, 0] = logit(scores)
     det = np.where(labels, -1.0, 1.0)
     ds = Dataset(features, labels, det, {"count": scores.size})
-    params = np.zeros(16)
-    params[0] = 1.0
-    model = MlpModel([LayerSpec(1, "sigmoid")], params)
+    model = model_new("linear_code", 0, m=1, hidden=())
+    model.params[:] = 0.0
+    model.weights[0][0, 0] = model.weights[1][0, 0] = 1.0
     return model, ds
 
 
