@@ -1,8 +1,9 @@
 """Command-line entry point for reproducible witness experiments.
 
-Subcommands: gen (datasets), train (one model + report), sweep (accuracy and
-precision-1 recall across m), weights (export learned measurement matrix).
-Every run that writes files records all its parsed flags in <out>.config.json.
+Subcommands: gen (datasets), train (one model, calibrated into a precision-1
+witness), sweep (accuracy and precision-1 recall across m), weights (export
+learned measurement matrix). Every run that writes files records all its
+parsed flags in <out>.config.json.
 All randomness flows from --seed through labeled sub-streams, so identical
 flags reproduce identical files.
 """
@@ -47,13 +48,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _open_unit(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {value}")
-    return value
-
-
 def _list_of(item):
     """Parser of comma-separated values, each checked by `item`; an empty item is an error."""
 
@@ -84,14 +78,28 @@ def _fraction_triple(text: str) -> tuple[float, ...]:
 def _write_config(args: argparse.Namespace) -> None:
     """Record every parsed flag, and the subcommand, in <out>.config.json."""
     payload = {key: value for key, value in vars(args).items() if key != "func"}
-    data._write_atomic(
-        _stem(args.out) + ".config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    data._write_atomic(_output_paths(args)[-1], text)
 
 
 def _stem(path: str) -> str:
     root, ext = os.path.splitext(path)
     return root if ext else path
+
+
+def _output_paths(args: argparse.Namespace) -> list[str]:
+    """Every file the command writes: --out, the files beside it, and <stem>.config.json
+    last. `main` refuses any of them that is a directory before the command runs."""
+    if args.out is None:
+        return []
+    stem = _stem(args.out)
+    siblings = {
+        "gen": [data.manifest_path(args.out), data.arrays_path(args.out)],
+        "train": [stem + ".history.csv", stem + ".report.json"],
+        "sweep": [stem + ".json"],
+        "weights": [],
+    }[args.command]
+    return [args.out, *siblings, stem + ".config.json"]
 
 
 def _train_config(args: argparse.Namespace, seed: int) -> nn.TrainConfig:
@@ -137,22 +145,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args, data.derived_seed(args.seed, data.STREAM_SHUFFLE))
     trained, history = nn.train(model, train_ds, val_ds, config)
 
-    nn.save_model(trained, args.out)
-    stem = _stem(args.out)
+    model_path, history_path, report_path, _ = _output_paths(args)
+    nn.save_model(trained, model_path)
     lines = ["epoch,train_loss,validation_loss,validation_accuracy"]
     for i, rec in enumerate(history.epochs):
         lines.append(
             f"{i},{rec.train_loss:.17g},{rec.validation_loss:.17g},"
             f"{rec.validation_accuracy:.17g}"
         )
-    data._write_atomic(stem + ".history.csv", "\n".join(lines) + "\n")
+    data._write_atomic(history_path, "\n".join(lines) + "\n")
 
-    report = witness.evaluate(trained, test_ds, args.threshold)
-    witness.save_report(report, stem + ".report.json")
+    report, calibrated = witness.witness_reports(trained, val_ds, test_ds)
+    witness.save_report(report, calibrated, report_path)
     _write_config(args)
+    if calibrated is None:
+        verdict = "no precision-1 threshold on the validation split"
+    else:
+        verdict = (
+            f"witness at threshold {calibrated.threshold:.6g}: test recall "
+            f"{calibrated.recall:.4f}, {calibrated.false_positive} false positives"
+        )
     print(
-        f"trained {architecture} (best epoch {history.best_epoch}); "
-        f"test accuracy {report.accuracy:.4f} at threshold {args.threshold}"
+        f"trained {architecture} (best epoch {trained.best_epoch}); "
+        f"test accuracy {report.accuracy:.4f} at threshold 0.5; {verdict}"
     )
     return 0
 
@@ -167,8 +182,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         train_config=config,
         rank=args.rank,
     )
-    stem = _stem(args.out)
-    witness.save_sweep(rows, args.out, stem + ".json")
+    csv_path, json_path, _ = _output_paths(args)
+    witness.save_sweep(rows, csv_path, json_path)
     _write_config(args)
     for row in rows:
         print(
@@ -217,14 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
-    train = sub.add_parser("train", help="train a classifier and report on the test split")
+    train = sub.add_parser("train", help="train a classifier and calibrate it into a witness")
     train.add_argument("--data", required=True)
     train.add_argument("--arch", choices=("full", "linear"), default="full")
     train.add_argument("--m", type=_measurement_count, default=None)
     train.add_argument("--hidden", type=_list_of(_positive_int), default=None)
     train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--split", type=_fraction_triple, default=(0.8, 0.1, 0.1))
-    train.add_argument("--threshold", type=_open_unit, default=0.5)
     _add_train_flags(train, epochs_default=120)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
@@ -255,8 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         directory = os.path.dirname(args.out) or "."
         if not os.path.isdir(directory):
             parser.error(f"argument --out: directory {directory!r} does not exist")
-        if os.path.isdir(args.out):
-            parser.error(f"argument --out: {args.out!r} is a directory")
+    for path in _output_paths(args):
+        if os.path.isdir(path):
+            parser.error(f"argument --out: {path!r} is a directory")
     if args.command == "sweep" and len(args.sizes) != 3:
         parser.error("--sizes needs three comma-separated counts")
     if args.command == "train" and args.arch == "linear" and args.m is None:
@@ -268,12 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--hidden with --arch full needs relu widths, then the code width")
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        nn.TrainingDivergedError,
-        witness.CalibrationDegenerateError,
-    ) as exc:
+    except (ValueError, OSError, nn.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -134,7 +134,6 @@ class EpochRecord(NamedTuple):
 @dataclass
 class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int = 0
 
 
 class TrainResult(NamedTuple):
@@ -399,6 +398,7 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
 
     history = TrainHistory()
     best_loss = np.inf
+    best_epoch = 0
     best = params.copy()
 
     for epoch in range(config.max_epochs):
@@ -422,12 +422,12 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
 
         if val_loss < best_loss:
             best_loss = val_loss
-            history.best_epoch = epoch
+            best_epoch = epoch
             np.copyto(best, params)
-        elif epoch - history.best_epoch >= config.patience:
+        elif epoch - best_epoch >= config.patience:
             break
 
-    result = replace(work, params=best, training_config=config, best_epoch=history.best_epoch)
+    result = replace(work, params=best, training_config=config, best_epoch=best_epoch)
     return TrainResult(result, history)
 
 

@@ -85,15 +85,16 @@ def calibrate_threshold(model: nn.MlpModel, calibration_ds: Dataset) -> float:
     Placed halfway between the top separable score and the next entangled score
     above it (or a hair above the top separable score when nothing lies above),
     so the calibration split has zero false positives by construction. Raises
-    CalibrationDegenerateError when the scores are so overlapped or inverted
-    that the resulting witness could not flag anything.
+    CalibrationDegenerateError when the set holds no separable state, or when
+    the scores are so overlapped or inverted that the resulting witness could
+    not flag anything.
     """
     scores = nn.forward(model, calibration_ds.features)
     labels = np.asarray(calibration_ds.labels, dtype=bool)
     separable = scores[~labels]
     entangled = scores[labels]
     if separable.size == 0:
-        raise ValueError("calibration set needs at least one separable sample")
+        raise CalibrationDegenerateError("calibration set needs at least one separable sample")
 
     top_separable = float(separable.max())
     above = entangled[entangled > top_separable]
@@ -109,6 +110,23 @@ def calibrate_threshold(model: nn.MlpModel, calibration_ds: Dataset) -> float:
             "no entangled score separates from the separable scores"
         )
     return float(threshold)
+
+
+def witness_reports(
+    model: nn.MlpModel, calibration_ds: Dataset, test_ds: Dataset
+) -> tuple[WitnessReport, WitnessReport | None]:
+    """The model as a classifier and as a witness, both reported on the test split.
+
+    The first report is at threshold 0.5; the second is at the precision-1
+    threshold calibrated on `calibration_ds`, or None when calibration is
+    degenerate.
+    """
+    at_half = evaluate(model, test_ds, 0.5)
+    try:
+        threshold = calibrate_threshold(model, calibration_ds)
+    except CalibrationDegenerateError:
+        return at_half, None
+    return at_half, evaluate(model, test_ds, threshold)
 
 
 def sweep_measurements(
@@ -144,13 +162,9 @@ def sweep_measurements(
             model = nn.model_new("linear_code", derived_seed(seed, STREAM_INIT, m), m=m)
             config = replace(base, seed=derived_seed(seed, STREAM_SHUFFLE, m))
             trained = nn.train(model, train_ds, val_ds, config).model
-            accuracy = evaluate(trained, test_ds, 0.5).accuracy
-            try:
-                threshold = calibrate_threshold(trained, val_ds)
-                recall = evaluate(trained, test_ds, threshold).recall
-            except CalibrationDegenerateError:
-                recall = 0.0
-            rows.append(SweepRow(m, symmetry, int(seed), accuracy, recall))
+            at_half, calibrated = witness_reports(trained, val_ds, test_ds)
+            recall = calibrated.recall if calibrated is not None else 0.0
+            rows.append(SweepRow(m, symmetry, int(seed), at_half.accuracy, recall))
     return rows
 
 
@@ -171,8 +185,11 @@ def report_to_dict(report: WitnessReport) -> dict:
     }
 
 
-def save_report(report: WitnessReport, path: str) -> None:
-    _write_atomic(path, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+def save_report(report: WitnessReport, calibrated: WitnessReport | None, path: str) -> None:
+    """Write `report` with the calibrated witness's report under "calibrated" (null if none)."""
+    payload = report_to_dict(report)
+    payload["calibrated"] = report_to_dict(calibrated) if calibrated is not None else None
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def sweep_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import stat
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entwitness import cli, data, nn
+from entwitness import cli, data, nn, witness
 from entwitness.quantum import FEATURE_NAMES
 
 
@@ -134,6 +135,44 @@ class TestTrain:
             outputs.append([read_bytes(str(tmp_path / name)) for name in names])
         assert outputs[0] == outputs[1]
 
+    def test_report_at_half_and_calibrated(self, tmp_path, capsys):
+        path = str(tmp_path / "d.csv")
+        run(["gen", "--n", "600", "--seed", "4", "--out", path])
+        assert run(["train", "--data", path, "--arch", "linear", "--m", "3",
+                    "--epochs", "2", "--seed", "1", "--out", str(tmp_path / "m.json")]) == 0
+        report = json.loads((tmp_path / "m.report.json").read_text())
+        calibrated = report.pop("calibrated")
+        # The test-split report at 0.5, as train wrote it before it calibrated.
+        assert report == {
+            "counts": {"false_negative": 0, "false_positive": 14,
+                       "true_entangled_correct": 46, "true_separable_correct": 0},
+            "rates": {"accuracy": 0.7666666666666667, "precision": 0.7666666666666667,
+                      "recall": 1.0},
+            "threshold": 0.5,
+        }
+        # Calibrated on the validation split and reported on the test split, which
+        # may still hold false positives.
+        model = nn.load_model(str(tmp_path / "m.json"))
+        _, validation, test = data.split(
+            data.load(path), (0.8, 0.1, 0.1), data.derived_seed(1, data.STREAM_SPLIT)
+        )
+        threshold = witness.calibrate_threshold(model, validation)
+        assert calibrated == witness.report_to_dict(witness.evaluate(model, test, threshold))
+        printed = capsys.readouterr().out
+        assert f"witness at threshold {calibrated['threshold']:.6g}" in printed
+        assert f"{calibrated['counts']['false_positive']} false positives" in printed
+
+    def test_all_entangled_data_has_no_witness(self, tmp_path, capsys):
+        # Rank-1 states are all entangled: no separable state to calibrate against.
+        path = str(tmp_path / "d.csv")
+        run(["gen", "--n", "300", "--rank", "1", "--out", path])
+        assert run(["train", "--data", path, "--arch", "linear", "--m", "3",
+                    "--epochs", "1", "--out", str(tmp_path / "m.json")]) == 0
+        report = json.loads((tmp_path / "m.report.json").read_text())
+        assert report["calibrated"] is None
+        assert report["rates"]["accuracy"] == 1.0
+        assert "no precision-1 threshold" in capsys.readouterr().out
+
     def test_missing_data_file_fails(self, tmp_path):
         code = run(
             ["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")]
@@ -204,6 +243,24 @@ class TestSweep:
         rows = json.loads((tmp_path / "sweep.json").read_text())
         assert {r["m"] for r in rows} == {1, 2}
 
+    def test_output_bytes_pinned(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        assert run(["sweep", "--m", "1,2", "--sizes", "300,100,100", "--seeds", "1",
+                    "--epochs", "2", "--out", out]) == 0
+        digests = [hashlib.sha256(read_bytes(p)).hexdigest()
+                   for p in (out, str(tmp_path / "s.json"))]
+        assert digests == [
+            "31acab504eb92b505ee8ecb7f9ac741867e11ff8f49dec582727f4cb8f10d34f",
+            "2c2fcb9f0c94162e39998393bfa3a34c77fa7981531896bfc25eecb6b56cdbca",
+        ]
+
+    def test_all_entangled_cell_has_zero_recall(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        assert run(["sweep", "--m", "1", "--rank", "1", "--sizes", "300,100,100",
+                    "--seeds", "1", "--epochs", "1", "--out", out]) == 0
+        rows = json.loads((tmp_path / "s.json").read_text())
+        assert [row["recall_at_precision_one"] for row in rows] == [0.0]
+
     def test_empty_m_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["sweep", "--m", "", "--out", str(tmp_path / "s.csv")])
@@ -243,8 +300,7 @@ class TestFailFast:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--threshold", "1.5"],
-            ["--threshold", "0"],
+            ["--threshold", "0.7"],
             ["--arch", "linear"],
             ["--arch", "linear", "--m", "0"],
             ["--arch", "linear", "--m", "16"],
@@ -264,7 +320,7 @@ class TestFailFast:
             ["--split", "nan,0.5,0.5"],
             ["--split", "0.8,0.1,inf"],
         ],
-        ids=["threshold-above-1", "threshold-0", "linear-without-m", "m-0", "m-16", "hidden-0",
+        ids=["threshold-removed", "linear-without-m", "m-0", "m-16", "hidden-0",
              "full-with-m", "full-hidden-empty", "full-hidden-one-width",
              "lr-0", "lr-negative", "lr-nan", "lr-inf", "seed-negative",
              "hidden-empty-item", "hidden-comma", "linear-hidden-empty",
@@ -311,22 +367,31 @@ class TestFailFast:
         assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize(
-        "command",
-        [["gen", "--n", "10"], ["train", "--data", "missing.csv"], ["sweep", "--m", "2"],
-         ["weights", "--model", "missing.json"]],
+        "command, sibling",
+        [(["gen", "--n", "10"], "o.csv.arrays.npy"),
+         (["train", "--data", "missing.csv"], "o.history.csv"),
+         (["sweep", "--m", "2"], "o.json"),
+         (["weights", "--model", "missing.json"], "o.config.json")],
         ids=["gen", "train", "sweep", "weights"],
     )
-    @pytest.mark.parametrize("out", ["missing-dir/o.csv", "existing-dir"])
-    def test_unusable_out_is_usage_error(self, tmp_path, monkeypatch, capsys, command, out):
-        """A missing directory, or an existing directory as the file: exit 2, nothing
-        written, and the --data or --model file, which does not exist, is never read."""
+    @pytest.mark.parametrize(
+        "out", ["missing-dir/o.csv", "existing-dir", pytest.param("o.csv", id="sibling-dir")]
+    )
+    def test_unusable_out_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, sibling, out
+    ):
+        """A missing directory, or an existing directory as the file or as one of the
+        files written beside it: exit 2, nothing written, and the --data or --model
+        file, which does not exist, is never read."""
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "existing-dir").mkdir()
+        made = ["existing-dir", sibling]
+        for name in made:
+            (tmp_path / name).mkdir()
         with pytest.raises(SystemExit) as err:
             run([*command, "--out", out])
         assert err.value.code == 2
         assert "argument --out: " in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-dir"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(made)
 
     @pytest.mark.parametrize("fractions", ["0.8,0.1,nan", "nan,0.5,0.5"])
     def test_non_finite_split_named(self, tmp_path, capsys, fractions):
@@ -376,7 +441,7 @@ CONFIG_CASES = [
     ),
     pytest.param(
         "train --data d.csv --arch linear --m 2 --hidden 8 --epochs 2 --batch 64 --lr"
-        " 0.01 --patience 1 --seed 1 --split 0.6,0.2,0.2 --threshold 0.7 --out lin.json",
+        " 0.01 --patience 1 --seed 1 --split 0.6,0.2,0.2 --out lin.json",
         "lin.config.json",
         """\
 {
@@ -397,8 +462,7 @@ CONFIG_CASES = [
     0.6,
     0.2,
     0.2
-  ],
-  "threshold": 0.7
+  ]
 }
 """,
         id="train-linear",
@@ -426,8 +490,7 @@ CONFIG_CASES = [
     0.8,
     0.1,
     0.1
-  ],
-  "threshold": 0.5
+  ]
 }
 """,
         id="train-full-no-extension",

@@ -386,7 +386,7 @@ class TestTrain:
         model = model_new("linear_code", 1, m=3)
         result = train(model, train_ds, val_ds, TrainConfig(learning_rate=1e-2, max_epochs=50, seed=1))
         assert len(result.history.epochs) <= 50
-        best = result.history.epochs[result.history.best_epoch]
+        best = result.history.epochs[result.model.best_epoch]
         assert best.validation_accuracy == 1.0
 
     def test_training_deterministic(self):
@@ -436,7 +436,7 @@ class TestTrain:
             TrainConfig(max_epochs=20, seed=2),
         )
         losses = [rec.validation_loss for rec in result.history.epochs]
-        assert result.history.best_epoch == int(np.argmin(losses))
+        assert result.model.best_epoch == int(np.argmin(losses))
 
     def test_train_loss_improves_on_toy(self):
         train_ds, val_ds = toy_task(seed=8)
@@ -445,7 +445,7 @@ class TestTrain:
             TrainConfig(learning_rate=1e-2, max_epochs=30, seed=3),
         )
         records = result.history.epochs
-        assert records[result.history.best_epoch].train_loss < records[0].train_loss
+        assert records[result.model.best_epoch].train_loss < records[0].train_loss
 
     def test_divergence_reported_with_epoch(self):
         train_ds, val_ds = toy_task(seed=9)
@@ -582,7 +582,7 @@ class TestModelSerialization:
         assert np.array_equal(forward(result.model, batch), forward(loaded, batch))
         assert loaded.architecture == "linear_code"
         assert loaded.m == 3
-        assert loaded.best_epoch == result.history.best_epoch
+        assert loaded.best_epoch == result.model.best_epoch
         assert loaded.training_config == result.model.training_config
 
     def test_round_trip_full_model(self, tmp_path):
@@ -785,7 +785,7 @@ def trained_digest(result):
         if b is not None:
             digest.update(b.tobytes())
     digest.update(np.array(result.history.epochs, dtype=float).tobytes())
-    digest.update(str(result.history.best_epoch).encode())
+    digest.update(str(result.model.best_epoch).encode())
     return digest.hexdigest()
 
 

@@ -16,6 +16,7 @@ from entwitness.witness import (
     report_to_dict,
     sweep_measurements,
     sweep_to_csv,
+    witness_reports,
 )
 
 
@@ -151,8 +152,9 @@ class TestCalibrateThreshold:
         assert report.recall == 0.0
 
     def test_requires_separable_sample(self):
+        # No separable score to sit above, so no zero-false-positive threshold exists.
         model, ds = scored_dataset(np.array([]), np.array([0.4, 0.5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(CalibrationDegenerateError):
             calibrate_threshold(model, ds)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
@@ -165,6 +167,40 @@ class TestCalibrateThreshold:
         except CalibrationDegenerateError:
             return
         assert evaluate(model, ds, threshold).false_positive == 0
+
+
+class TestWitnessReports:
+    """Every scored_dataset shares one model, so its calibration and test splits
+    are scored exactly as given."""
+
+    def test_exact_counts_at_half_and_calibrated(self):
+        model, calibration = scored_dataset(np.array([0.1, 0.6]), np.array([0.3, 0.7, 0.9]))
+        _, test = scored_dataset(
+            np.array([0.2, 0.55, 0.62, 0.8]), np.array([0.4, 0.6, 0.75, 0.95])
+        )
+        at_half, calibrated = witness_reports(model, calibration, test)
+        assert at_half == evaluate(model, test, 0.5)
+        assert (at_half.true_separable_correct, at_half.false_positive) == (1, 3)
+        assert (at_half.false_negative, at_half.true_entangled_correct) == (1, 3)
+        # Calibrated halfway between the top separable 0.6 and the entangled 0.7.
+        assert calibrated.threshold == pytest.approx(0.65)
+        assert calibrated == evaluate(model, test, calibrated.threshold)
+        assert (calibrated.true_separable_correct, calibrated.false_positive) == (3, 1)
+        assert (calibrated.false_negative, calibrated.true_entangled_correct) == (2, 2)
+
+    def test_degenerate_scorer_has_no_witness(self):
+        model, calibration = scored_dataset(np.array([0.7, 0.8]), np.array([0.2, 0.3]))
+        _, test = scored_dataset(np.array([0.1, 0.6]), np.array([0.4, 0.9]))
+        at_half, calibrated = witness_reports(model, calibration, test)
+        assert at_half == evaluate(model, test, 0.5)
+        assert calibrated is None
+
+    def test_no_separable_state_has_no_witness(self):
+        model, calibration = scored_dataset(np.array([]), np.array([0.4, 0.5]))
+        _, test = scored_dataset(np.array([0.1]), np.array([0.9]))
+        at_half, calibrated = witness_reports(model, calibration, test)
+        assert (at_half.true_separable_correct, at_half.true_entangled_correct) == (1, 1)
+        assert calibrated is None
 
 
 class TestSweep:
