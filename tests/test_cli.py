@@ -300,6 +300,8 @@ class TestFailFast:
     @pytest.mark.parametrize(
         "flags",
         [
+            ["--threshold", "1.5"],
+            ["--threshold", "0"],
             ["--threshold", "0.7"],
             ["--arch", "linear"],
             ["--arch", "linear", "--m", "0"],
@@ -320,8 +322,8 @@ class TestFailFast:
             ["--split", "nan,0.5,0.5"],
             ["--split", "0.8,0.1,inf"],
         ],
-        ids=["threshold-removed", "linear-without-m", "m-0", "m-16", "hidden-0",
-             "full-with-m", "full-hidden-empty", "full-hidden-one-width",
+        ids=["threshold-above-1", "threshold-0", "threshold-removed", "linear-without-m",
+             "m-0", "m-16", "hidden-0", "full-with-m", "full-hidden-empty", "full-hidden-one-width",
              "lr-0", "lr-negative", "lr-nan", "lr-inf", "seed-negative",
              "hidden-empty-item", "hidden-comma", "linear-hidden-empty",
              "split-nan-last", "split-nan-first", "split-inf"],
