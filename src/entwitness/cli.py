@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -41,13 +40,6 @@ def _measurement_count(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
 def _list_of(item):
     """Parser of comma-separated values, each checked by `item`; an empty item is an error."""
 
@@ -61,18 +53,6 @@ def _list_of(item):
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
-
-
-def _fraction_triple(text: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated fractions")
-    values = tuple(float(p) for p in parts)
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError("fractions must be finite")
-    if any(v <= 0 for v in values) or abs(sum(values) - 1.0) > 1e-9:
-        raise argparse.ArgumentTypeError("fractions must be positive and sum to 1")
-    return values
 
 
 def _write_config(args: argparse.Namespace) -> None:
@@ -89,7 +69,8 @@ def _stem(path: str) -> str:
 
 def _output_paths(args: argparse.Namespace) -> list[str]:
     """Every file the command writes: --out, the files beside it, and <stem>.config.json
-    last. `main` refuses any of them that is a directory before the command runs."""
+    last. `main` refuses them, before the command runs, unless they are distinct and
+    none is a directory."""
     if args.out is None:
         return []
     stem = _stem(args.out)
@@ -210,10 +191,11 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser, epochs_default: int) -> None:
-    parser.add_argument("--epochs", type=_positive_int, default=epochs_default)
-    parser.add_argument("--batch", type=_positive_int, default=256)
-    parser.add_argument("--lr", type=_positive_float, default=1e-3)
-    parser.add_argument("--patience", type=_positive_int, default=10)
+    # Checked by the TrainConfig that `main` builds from them before the command runs.
+    parser.add_argument("--epochs", type=int, default=epochs_default)
+    parser.add_argument("--batch", type=int, default=256)
+    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--patience", type=int, default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--m", type=_measurement_count, default=None)
     train.add_argument("--hidden", type=_list_of(_positive_int), default=None)
     train.add_argument("--seed", type=_seed, default=0)
-    train.add_argument("--split", type=_fraction_triple, default=(0.8, 0.1, 0.1))
+    train.add_argument("--split", type=_list_of(float), default=[0.8, 0.1, 0.1])
     _add_train_flags(train, epochs_default=120)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
@@ -269,7 +251,10 @@ def main(argv: list[str] | None = None) -> int:
         directory = os.path.dirname(args.out) or "."
         if not os.path.isdir(directory):
             parser.error(f"argument --out: directory {directory!r} does not exist")
-    for path in _output_paths(args):
+    paths = _output_paths(args)
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            parser.error(f"argument --out: {args.command} would write two files to {path!r}")
         if os.path.isdir(path):
             parser.error(f"argument --out: {path!r} is a directory")
     if args.command == "sweep" and len(args.sizes) != 3:
@@ -281,6 +266,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--m applies only to --arch linear")
         if args.hidden is not None and len(args.hidden) < 2:
             parser.error("--hidden with --arch full needs relu widths, then the code width")
+    if args.command == "train":
+        try:
+            data.check_fractions(args.split)
+        except ValueError as exc:
+            parser.error(f"argument --split: {exc}")
+    if args.command in ("train", "sweep"):
+        try:  # the one check of --lr, --epochs, --batch and --patience
+            _train_config(args, 0)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except (ValueError, OSError, nn.TrainingDivergedError) as exc:

@@ -183,10 +183,9 @@ def regenerate(manifest: dict) -> Dataset:
     )
 
 
-def split(
-    ds: Dataset, fractions: Sequence[float], seed: int = 0
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Deterministic shuffled partition into train / validation / test parts, none empty."""
+def check_fractions(fractions: Sequence[float]) -> np.ndarray:
+    """The (train, validation, test) fractions as an array; three finite positive
+    numbers summing to 1, or a ValueError."""
     frac = np.asarray(fractions, dtype=float)
     if frac.shape != (3,):
         raise ValueError("fractions must be three numbers (train, validation, test)")
@@ -196,7 +195,14 @@ def split(
         raise ValueError(f"fractions must be positive, got {fractions}")
     if abs(frac.sum() - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got sum {frac.sum()!r}")
+    return frac
 
+
+def split(
+    ds: Dataset, fractions: Sequence[float], seed: int = 0
+) -> tuple[Dataset, Dataset, Dataset]:
+    """Deterministic shuffled partition into train / validation / test parts, none empty."""
+    frac = check_fractions(fractions)
     n = len(ds)
     perm = np.random.default_rng(seed).permutation(n)
     bounds = np.round(np.cumsum(frac) * n).astype(int)

@@ -431,17 +431,24 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
     return TrainResult(result, history)
 
 
-def save_model(model: MlpModel, path: str) -> None:
-    """Serialize to JSON; floats round-trip exactly, so forward() is preserved."""
-    payload = {
+def _recorded_entries(model: MlpModel) -> dict:
+    """Every entry of a model file but the weights and biases: those that follow from the model."""
+    return {
         "architecture": model.architecture,
         "m": model.m,
         "input_width": model.input_width,
         "layer_specs": [asdict(s) for s in model.layer_specs],
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [None if b is None else b.tolist() for b in model.biases],
         "training_config": None if model.training_config is None else asdict(model.training_config),
         "best_epoch": model.best_epoch,
+    }
+
+
+def save_model(model: MlpModel, path: str) -> None:
+    """Serialize to JSON; floats round-trip exactly, so forward() is preserved."""
+    payload = {
+        **_recorded_entries(model),
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [None if b is None else b.tolist() for b in model.biases],
     }
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -449,18 +456,11 @@ def save_model(model: MlpModel, path: str) -> None:
 # Old training_config entries (the update rule, the Adam constants), loaded only at these values.
 _RECORDED_ADAM = {"optimizer": "adam", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
-# Every entry save_model writes, with the JSON types load_model accepts for it. Types
-# are matched exactly, so a JSON true or false is not an integer.
-_MODEL_ENTRIES = {
-    "architecture": (str,), "m": (int, type(None)), "input_width": (int,),
-    "layer_specs": (list,), "weights": (list,), "biases": (list,),
-    "training_config": (dict, type(None)), "best_epoch": (int, type(None)),
-}
-
-
 def _load_training_config(recorded: dict | None) -> TrainConfig | None:
     if recorded is None:
         return None
+    if not isinstance(recorded, dict):
+        raise ValueError("training_config must be a JSON object or null")
     known = {f.name for f in fields(TrainConfig)}
     extra = {key: value for key, value in recorded.items() if key not in known}
     if not extra.items() <= _RECORDED_ADAM.items():
@@ -489,35 +489,32 @@ def load_model(path: str) -> MlpModel:
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise ValueError("model file must hold a JSON object")
-        for key, kinds in _MODEL_ENTRIES.items():
-            if key not in payload or type(payload[key]) not in kinds:
-                raise ValueError(f"entry {key!r} is missing or of the wrong JSON type")
-        if payload["input_width"] != 15:
-            raise ValueError(f"input_width must be 15, got {payload['input_width']!r}")
-        architecture, recorded = payload["architecture"], payload["layer_specs"]
-        widths = [entry.get("width") if isinstance(entry, dict) else None for entry in recorded]
-        if not all(type(width) is int for width in widths):
-            raise ValueError("every layer_specs entry needs an integer width")
+        specs, architecture = payload.get("layer_specs"), payload.get("architecture")
+        if not isinstance(specs, list) or not all(
+            isinstance(spec, dict) and type(spec.get("width")) is int for spec in specs
+        ):
+            raise ValueError("layer_specs must list layers, each with an integer width")
         # The decoder of nonlinear_full mirrors its encoder; the output layer is never given.
+        widths = [spec["width"] for spec in specs]
         widths = widths[: len(widths) // 2] if architecture == "nonlinear_full" else widths[:-1]
-        model = MlpModel(
-            architecture,
-            widths,
-            training_config=_load_training_config(payload["training_config"]),
-            best_epoch=payload["best_epoch"],
-        )
-        # Exactly the layer_specs the architecture builds from the file's widths, compared
-        # as JSON text so that a 1 where true belongs differs too.
-        rebuilt = [asdict(spec) for spec in model.layer_specs]
-        if json.dumps(recorded, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
-            raise ValueError(f"layer_specs differ from those of {architecture} {model.widths}")
-        if not len(payload["weights"]) == len(payload["biases"]) == len(rebuilt):
-            raise ValueError(f"weights and biases must list all {len(rebuilt)} layers")
-        for i, (w, b) in enumerate(zip(payload["weights"], payload["biases"])):
+        best_epoch = payload.get("best_epoch")
+        if type(best_epoch) not in (int, type(None)):  # a JSON true or false is not an integer
+            raise ValueError(f"best_epoch must be an integer or null, got {best_epoch!r}")
+        model = MlpModel(architecture, widths, best_epoch=best_epoch)
+        # Every entry save_model writes for the rebuilt model, compared as JSON text so that
+        # a 1 where true belongs differs too; training_config may hold Adam-era entries.
+        for key, value in _recorded_entries(model).items():
+            if key not in payload or key != "training_config" and (
+                json.dumps(payload[key], sort_keys=True) != json.dumps(value, sort_keys=True)
+            ):
+                raise ValueError(f"{key!r} is missing or not that of {architecture} {model.widths}")
+        model.training_config = _load_training_config(payload["training_config"])
+        weights, biases = payload.get("weights"), payload.get("biases")
+        if not all(isinstance(x, list) and len(x) == len(specs) for x in (weights, biases)):
+            raise ValueError(f"weights and biases must list all {len(specs)} layers")
+        for i, (w, b) in enumerate(zip(weights, biases)):
             _copy_recorded(f"layer {i} weight", model.weights[i], w)
             _copy_recorded(f"layer {i} bias", model.biases[i], b)
-        if payload["m"] != model.m:
-            raise ValueError(f"m is {payload['m']!r}, layer_specs give {model.m!r}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model

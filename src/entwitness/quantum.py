@@ -223,7 +223,7 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     mat = np.asarray(rho)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    return mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return _partial_transpose_batch(mat[None])[0]
 
 
 def _det_pt_of_matrices(mats: np.ndarray) -> np.ndarray:

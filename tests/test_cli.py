@@ -321,12 +321,16 @@ class TestFailFast:
             ["--split", "0.8,0.1,nan"],
             ["--split", "nan,0.5,0.5"],
             ["--split", "0.8,0.1,inf"],
+            ["--epochs", "0"],
+            ["--batch", "0"],
+            ["--patience", "0"],
         ],
         ids=["threshold-above-1", "threshold-0", "threshold-removed", "linear-without-m",
              "m-0", "m-16", "hidden-0", "full-with-m", "full-hidden-empty", "full-hidden-one-width",
              "lr-0", "lr-negative", "lr-nan", "lr-inf", "seed-negative",
              "hidden-empty-item", "hidden-comma", "linear-hidden-empty",
-             "split-nan-last", "split-nan-first", "split-inf"],
+             "split-nan-last", "split-nan-first", "split-inf",
+             "epochs-0", "batch-0", "patience-0"],
     )
     def test_train_rejects(self, tmp_path, small_dataset, flags):
         out_dir = tmp_path / "out"
@@ -341,15 +345,18 @@ class TestFailFast:
         "flags",
         [["--m", "0,3"], ["--m", "3,16"], ["--m", "2", "--sizes", "300,0,300"],
          ["--m", "2", "--lr", "0"], ["--m", "2", "--lr", "nan"], ["--m", "2", "--seed", "-2"],
-         ["--m", "2,,3"], ["--m", ""], ["--m", "2", "--sizes", "300,100,100,"]],
+         ["--m", "2,,3"], ["--m", ""], ["--m", "2", "--sizes", "300,100,100,"],
+         ["--m", "2", "--epochs", "0"], ["--m", "2", "--batch", "0"],
+         ["--m", "2", "--patience", "0"]],
         ids=["m-0", "m-16", "size-0", "lr-0", "lr-nan", "seed-negative",
-             "m-empty-item", "m-empty", "sizes-trailing-comma"],
+             "m-empty-item", "m-empty", "sizes-trailing-comma",
+             "epochs-0", "batch-0", "patience-0"],
     )
     def test_sweep_rejects(self, tmp_path, flags):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         with pytest.raises(SystemExit) as err:
-            run(["sweep", *flags, "--seeds", "1", "--epochs", "1",
+            run(["sweep", "--seeds", "1", "--epochs", "1", *flags,
                  "--out", str(out_dir / "s.csv")])
         assert err.value.code == 2
         assert os.listdir(out_dir) == []
@@ -394,6 +401,39 @@ class TestFailFast:
         assert err.value.code == 2
         assert "argument --out: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(made)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--lr", "nan"], "learning_rate must be finite and > 0"),
+         (["--epochs", "0"], "max_epochs must be >= 1"),
+         (["--batch", "-3"], "batch_size must be >= 1"),
+         (["--patience", "0"], "patience must be >= 1")],
+        ids=["lr", "epochs", "batch", "patience"],
+    )
+    @pytest.mark.parametrize("command", [["train", "--data", "missing.csv"], ["sweep", "--m", "2"]],
+                             ids=["train", "sweep"])
+    def test_training_flag_named_by_its_field(self, tmp_path, capsys, command, flags, message):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run([*command, *flags, "--out", str(out_dir / "o.csv")])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize("out", ["s.json", "s.config.json"])
+    def test_coinciding_outputs_refused(self, tmp_path, capsys, out):
+        """sweep writes <stem>.json and <stem>.config.json beside --out, so an --out
+        that is one of them would lose a file: exit 2, nothing written."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", "--m", "1", "--sizes", "300,100,100", "--seeds", "1",
+                 "--epochs", "1", "--out", str(out_dir / out)])
+        assert err.value.code == 2
+        assert f"argument --out: sweep would write two files to {str(out_dir / out)!r}" \
+            in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("fractions", ["0.8,0.1,nan", "nan,0.5,0.5"])
     def test_non_finite_split_named(self, tmp_path, capsys, fractions):

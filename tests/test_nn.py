@@ -659,6 +659,64 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match=re.escape(path)):
             load_model(path)
 
+    @pytest.mark.parametrize("case", sorted(SAVED_DIGESTS))
+    def test_any_json_layout_loads(self, tmp_path, case):
+        """The entries are compared as sorted JSON, so a file re-dumped without
+        indentation and with each layer_specs entry's keys in another order loads
+        and scores the same."""
+        model = SAVED_DIGESTS[case][0]()
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["layer_specs"] = [dict(reversed(spec.items())) for spec in payload["layer_specs"]]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        loaded = load_model(path)
+        batch = np.random.default_rng(2).uniform(-1, 1, (300, 15))
+        assert forward(loaded, batch).tobytes() == forward(model, batch).tobytes()
+        assert loaded.training_config == model.training_config
+        assert loaded.best_epoch == model.best_epoch
+
+    @staticmethod
+    def derived_entry_edits(payload):
+        """(name, edit) for each entry of a saved file that follows from the model:
+        m, input_width, architecture and each field of each layer_specs entry."""
+        other = {"nonlinear_full": "linear_code", "linear_code": "nonlinear_full",
+                 "relu": "linear", "linear": "sigmoid", "sigmoid": "relu"}
+        yield "m", lambda p: p.update(m=1 if p["m"] is None else p["m"] + 1)
+        yield "input_width", lambda p: p.update(input_width=16)
+        yield "architecture", lambda p: p.update(architecture=other[p["architecture"]])
+        for i in range(len(payload["layer_specs"])):
+            yield f"layer {i} width", lambda p, i=i: p["layer_specs"][i].update(
+                width=p["layer_specs"][i]["width"] + 1)
+            yield f"layer {i} activation", lambda p, i=i: p["layer_specs"][i].update(
+                activation=other[p["layer_specs"][i]["activation"]])
+            yield f"layer {i} has_bias", lambda p, i=i: p["layer_specs"][i].update(
+                has_bias=not p["layer_specs"][i]["has_bias"])
+
+    @pytest.mark.parametrize("case", sorted(SAVED_DIGESTS))
+    def test_any_changed_derived_entry_rejected(self, tmp_path, case):
+        path = str(tmp_path / "model.json")
+        save_model(SAVED_DIGESTS[case][0](), path)
+        saved = json.loads(read_bytes(path))
+        # The weights and biases are written once as text and spliced into every file.
+        arrays = json.dumps({key: saved.pop(key) for key in ("weights", "biases")})
+
+        def write(payload):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload)[:-1] + ", " + arrays[1:])
+
+        write(saved)
+        load_model(path)  # unedited, it loads
+        for name, edit in self.derived_entry_edits(saved):
+            payload = {**saved, "layer_specs": [dict(spec) for spec in saved["layer_specs"]]}
+            edit(payload)
+            write(payload)
+            with pytest.raises(ValueError, match=re.escape(path)):
+                load_model(path)
+                pytest.fail(f"a file with its {name} changed loaded")
+
     def test_file_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2]")
