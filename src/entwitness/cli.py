@@ -16,7 +16,9 @@ import os
 import sys
 
 from . import data, nn, witness
-from .quantum import FEATURE_NAMES
+from .quantum import FEATURE_NAMES, RANKS
+
+_ARCH = {"full": "nonlinear_full", "linear": "linear_code"}  # --arch value: nn's architecture
 
 
 def _positive_int(text: str) -> int:
@@ -30,13 +32,6 @@ def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _measurement_count(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 15:
-        raise argparse.ArgumentTypeError(f"m must lie in 1..15, got {value}")
     return value
 
 
@@ -116,13 +111,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_ds, val_ds, test_ds = data.split(
         data.load(args.data), args.split, data.derived_seed(args.seed, data.STREAM_SPLIT)
     )
-    architecture = "nonlinear_full" if args.arch == "full" else "linear_code"
-    model = nn.model_new(
-        architecture,
-        data.derived_seed(args.seed, data.STREAM_INIT),
-        m=args.m,
-        hidden=args.hidden,
-    )
+    architecture = _ARCH[args.arch]
+    init_seed = data.derived_seed(args.seed, data.STREAM_INIT)
+    model = nn.model_new(architecture, init_seed, m=args.m, hidden=args.hidden)
     config = _train_config(args, data.derived_seed(args.seed, data.STREAM_SHUFFLE))
     trained, history = nn.train(model, train_ds, val_ds, config)
 
@@ -209,16 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=_positive_int, required=True)
     gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--symmetry", choices=data.SYMMETRY_MODES, default="none")
-    gen.add_argument("--rank", type=int, choices=(1, 2, 3, 4), default=4)
+    gen.add_argument("--rank", type=int, choices=RANKS, default=4)
     gen.add_argument("--balance", action="store_true")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
     train = sub.add_parser("train", help="train a classifier and calibrate it into a witness")
     train.add_argument("--data", required=True)
-    train.add_argument("--arch", choices=("full", "linear"), default="full")
-    train.add_argument("--m", type=_measurement_count, default=None)
-    train.add_argument("--hidden", type=_list_of(_positive_int), default=None)
+    train.add_argument("--arch", choices=_ARCH, default="full")
+    train.add_argument("--m", type=int, default=None)
+    train.add_argument("--hidden", type=_list_of(int), default=None)
     train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--split", type=_list_of(float), default=[0.8, 0.1, 0.1])
     _add_train_flags(train, epochs_default=120)
@@ -226,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     sweep = sub.add_parser("sweep", help="accuracy and precision-1 recall across m")
-    sweep.add_argument("--m", type=_list_of(_measurement_count), required=True)
+    sweep.add_argument("--m", type=_list_of(int), required=True)
     sweep.add_argument("--symmetry", choices=data.SYMMETRY_MODES, default="none")
     sweep.add_argument("--sizes", type=_list_of(_positive_int), default=[50_000, 10_000, 20_000])
     sweep.add_argument("--seeds", type=_positive_int, default=3)
     sweep.add_argument("--seed", type=_seed, default=0)
-    sweep.add_argument("--rank", type=int, choices=(1, 2, 3, 4), default=4)
+    sweep.add_argument("--rank", type=int, choices=RANKS, default=4)
     _add_train_flags(sweep, epochs_default=60)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
@@ -259,23 +250,21 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"argument --out: {path!r} is a directory")
     if args.command == "sweep" and len(args.sizes) != 3:
         parser.error("--sizes needs three comma-separated counts")
-    if args.command == "train" and args.arch == "linear" and args.m is None:
-        parser.error("--m is required when --arch linear")
-    if args.command == "train" and args.arch == "full":
-        if args.m is not None:
-            parser.error("--m applies only to --arch linear")
-        if args.hidden is not None and len(args.hidden) < 2:
-            parser.error("--hidden with --arch full needs relu widths, then the code width")
-    if args.command == "train":
+    # Each rule is checked by its owner, before any data is read.
+    checks = {
+        "train": {
+            "--split": lambda: data.check_fractions(args.split),
+            "--arch/--m/--hidden": lambda: nn.model_widths(_ARCH[args.arch], args.m, args.hidden),
+        },
+        "sweep": {"--m": lambda: [nn.model_widths("linear_code", m) for m in args.m]},
+    }.get(args.command, {})
+    if checks:
+        checks["--lr/--epochs/--batch/--patience"] = lambda: _train_config(args, 0)
+    for flags, check in checks.items():
         try:
-            data.check_fractions(args.split)
+            check()
         except ValueError as exc:
-            parser.error(f"argument --split: {exc}")
-    if args.command in ("train", "sweep"):
-        try:  # the one check of --lr, --epochs, --batch and --patience
-            _train_config(args, 0)
-        except ValueError as exc:
-            parser.error(str(exc))
+            parser.error(f"argument {flags}: {exc}")
     try:
         return args.func(args)
     except (ValueError, OSError, nn.TrainingDivergedError) as exc:

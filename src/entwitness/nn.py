@@ -69,14 +69,15 @@ def _layer_specs(architecture: str, widths: Sequence[int]) -> tuple[LayerSpec, .
         specs = [*relu, LayerSpec(widths[-1], "linear"), *reversed(relu)]
     elif architecture == "linear_code":
         m = widths[0] if widths else None
-        if m is None or not 1 <= m <= 15:
-            raise ValueError(f"linear_code needs m in 1..15, got {m}")
+        if type(m) is not int or not 1 <= m <= 15:
+            raise ValueError(f"linear_code needs m in 1..15, got {m!r}")
         specs = [LayerSpec(m, "linear", has_bias=False)]
         specs += (LayerSpec(w, "relu") for w in widths[1:])
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
-    if min(spec.width for spec in specs) < 1:
-        raise ValueError(f"layer widths must be >= 1, got {tuple(widths)}")
+    # A model file records each width as a JSON integer: a bool or a float is no width.
+    if not all(type(spec.width) is int and spec.width >= 1 for spec in specs):
+        raise ValueError(f"layer widths must be integers >= 1, got {tuple(widths)}")
     return (*specs, LayerSpec(1, "sigmoid"))
 
 
@@ -118,11 +119,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A model file records these as JSON numbers, where true and false are none.
+        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, (int, float)):
+            raise ValueError(f"learning_rate must be an int or a float, got {self.learning_rate!r}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        for name in ("batch_size", "patience", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in (("batch_size", 1), ("patience", 1), ("max_epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 class EpochRecord(NamedTuple):
@@ -164,25 +171,32 @@ def _views(
     return params, weights, biases
 
 
+def model_widths(
+    architecture: str, m: int | None = None, hidden: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """The widths `model_new` builds, as `_layer_specs` takes them, or a ValueError. `hidden`
+    replaces the default relu widths: `FULL_ENCODER_WIDTHS` (code width last) for
+    "nonlinear_full", which takes no m, and `LINEAR_HIDDEN_WIDTHS`, after m in 1..15, for
+    "linear_code". Every width is an int >= 1."""
+    if architecture == "nonlinear_full" and m is not None:
+        raise ValueError(f"nonlinear_full takes no m, got {m!r}")
+    if architecture == "linear_code":
+        widths = (m, *(LINEAR_HIDDEN_WIDTHS if hidden is None else hidden))
+    else:
+        widths = tuple(FULL_ENCODER_WIDTHS if hidden is None else hidden)
+    _layer_specs(architecture, widths)
+    return widths
+
+
 def model_new(
     architecture: str,
     seed: int,
     m: int | None = None,
     hidden: Sequence[int] | None = None,
 ) -> MlpModel:
-    """Build one of the two classifier architectures with seeded initial weights.
-
-    "nonlinear_full" stacks relu layers that narrow to a linear code of width 8
-    and widen back symmetrically (`hidden` overrides the encoder widths, code
-    last). "linear_code" starts with m bias-free linear nodes, the learned
-    measurements, followed by relu layers (`hidden` overrides their widths).
-    Weights are Gaussian scaled by 1/sqrt(fan_in), layer by layer; biases are 0.
-    """
-    if architecture == "linear_code":
-        widths = (m, *(LINEAR_HIDDEN_WIDTHS if hidden is None else hidden))
-    else:
-        widths = FULL_ENCODER_WIDTHS if hidden is None else hidden
-    model = MlpModel(architecture, widths)
+    """Build the model `model_widths` gives, with seeded initial weights: Gaussian scaled
+    by 1/sqrt(fan_in), layer by layer; biases are 0."""
+    model = MlpModel(architecture, model_widths(architecture, m, hidden))
     rng = np.random.default_rng(seed)
     for w in model.weights:
         w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
@@ -465,21 +479,7 @@ def _load_training_config(recorded: dict | None) -> TrainConfig | None:
     extra = {key: value for key, value in recorded.items() if key not in known}
     if not extra.items() <= _RECORDED_ADAM.items():
         raise ValueError(f"unsupported training_config entries {extra}")
-    config = {key: value for key, value in recorded.items() if key in known}
-    for key, value in config.items():  # here too, a JSON true or false is not a number
-        if type(value) is not int and not (key == "learning_rate" and type(value) is float):
-            raise ValueError(f"training_config entry {key!r} is of the wrong JSON type")
-    return TrainConfig(**config)
-
-
-def _copy_recorded(what: str, view: np.ndarray | None, recorded) -> None:
-    """Copy a recorded weight or bias list into its view; None stands for an absent bias."""
-    value = None if recorded is None else np.array(recorded, dtype=float)
-    found, needed = ("absent" if a is None else f"shape {a.shape}" for a in (value, view))
-    if found != needed:
-        raise ValueError(f"{what} is {found}, layer_specs needs {needed}")
-    if view is not None:
-        view[...] = value
+    return TrainConfig(**{key: value for key, value in recorded.items() if key in known})
 
 
 def load_model(path: str) -> MlpModel:
@@ -490,10 +490,22 @@ def load_model(path: str) -> MlpModel:
         if not isinstance(payload, dict):
             raise ValueError("model file must hold a JSON object")
         specs, architecture = payload.get("layer_specs"), payload.get("architecture")
-        if not isinstance(specs, list) or not all(
-            isinstance(spec, dict) and type(spec.get("width")) is int for spec in specs
-        ):
-            raise ValueError("layer_specs must list layers, each with an integer width")
+        if not isinstance(specs, list) or not all(isinstance(spec, dict) for spec in specs):
+            raise ValueError("layer_specs must list layers")
+        weights, biases = payload.get("weights"), payload.get("biases")
+        if not all(isinstance(x, list) and len(x) == len(specs) for x in (weights, biases)):
+            raise ValueError(f"weights and biases must list all {len(specs)} layers")
+        # Each layer's values (None for an absent bias) must have the shapes its layer_specs
+        # entry gives before a model is allocated, so an edited width of 10**15 is refused.
+        fan_in, values = MlpModel.input_width, []
+        for i, (spec, *recorded) in enumerate(zip(specs, weights, biases)):
+            values.append([None if x is None else np.array(x, dtype=float) for x in recorded])
+            found = [None if x is None else x.shape for x in values[-1]]
+            width = spec.get("width")
+            needed = [(width, fan_in), (width,) if spec.get("has_bias") is True else None]
+            if found != needed:
+                raise ValueError(f"layer {i} weight and bias have shapes {found}, not {needed}")
+            fan_in = width
         # The decoder of nonlinear_full mirrors its encoder; the output layer is never given.
         widths = [spec["width"] for spec in specs]
         widths = widths[: len(widths) // 2] if architecture == "nonlinear_full" else widths[:-1]
@@ -509,12 +521,10 @@ def load_model(path: str) -> MlpModel:
             ):
                 raise ValueError(f"{key!r} is missing or not that of {architecture} {model.widths}")
         model.training_config = _load_training_config(payload["training_config"])
-        weights, biases = payload.get("weights"), payload.get("biases")
-        if not all(isinstance(x, list) and len(x) == len(specs) for x in (weights, biases)):
-            raise ValueError(f"weights and biases must list all {len(specs)} layers")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            _copy_recorded(f"layer {i} weight", model.weights[i], w)
-            _copy_recorded(f"layer {i} bias", model.biases[i], b)
+        for (w, b), weight, bias in zip(values, model.weights, model.biases):
+            weight[...] = w
+            if b is not None:  # the layer_specs compared equal, so the shapes do too
+                bias[...] = b
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model

@@ -19,6 +19,8 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 IMAG_TOL = 1e-10
 
+RANKS = (1, 2, 3, 4)  # of the random-state ensembles: 4 is Hilbert-Schmidt, 1 pure states
+
 _SIGMA = np.array(
     [
         [[1, 0], [0, 1]],
@@ -129,7 +131,7 @@ def _check_rank(rank: int) -> None:
     # A bool or a float such as 2.0 compares equal to an allowed rank but is no
     # integer: numpy would fail on it later with a TypeError.
     is_integer = isinstance(rank, (int, np.integer)) and not isinstance(rank, bool)
-    if not is_integer or rank not in (1, 2, 3, 4):
+    if not is_integer or rank not in RANKS:
         raise ValueError(f"rank must be an integer in 1..4, got {rank!r}")
 
 

@@ -145,9 +145,8 @@ def sweep_measurements(
     on the test split at the precision-1 threshold calibrated on the validation
     split (0 when calibration is degenerate).
     """
-    for m in m_values:
-        if not 1 <= m <= 15:
-            raise ValueError(f"m values must lie in 1..15, got {m}")
+    for m in m_values:  # every cell's model is checked before any data is generated
+        nn.model_widths("linear_code", m)
     base = train_config if train_config is not None else nn.TrainConfig()
 
     total = int(sum(sizes))

@@ -145,12 +145,28 @@ class TestModelNew:
     @pytest.mark.parametrize(
         "architecture, m, hidden",
         [("nonlinear_full", None, (4,)), ("nonlinear_full", None, (4, 0)),
-         ("linear_code", 2, (8, 0))],
-        ids=["full-code-only", "full-code-0", "linear-relu-0"],
+         ("linear_code", 2, (8, 0)), ("nonlinear_full", 5, None), ("linear_code", True, None),
+         ("linear_code", 3.0, None), ("nonlinear_full", None, (8, 4.0)),
+         ("linear_code", 2, (8, True))],
+        ids=["full-code-only", "full-code-0", "linear-relu-0", "full-with-m", "m-true",
+             "m-float", "full-hidden-float", "linear-hidden-true"],
     )
     def test_widths_validation(self, architecture, m, hidden):
         with pytest.raises(ValueError):
             model_new(architecture, 0, m=m, hidden=hidden)
+
+    @pytest.mark.parametrize(
+        "architecture, m, hidden, widths",
+        [("nonlinear_full", None, None, (384, 192, 8)),  # train --arch full
+         ("nonlinear_full", None, [16, 8, 4], (16, 8, 4)),  # --hidden parses to a list
+         ("linear_code", 4, [7], (4, 7)),
+         ("linear_code", 2, [], (2,)),
+         *(("linear_code", m, None, (m, 256, 128)) for m in range(1, 16))],  # sweep --m, train --m
+    )
+    def test_model_widths_are_the_widths_built(self, architecture, m, hidden, widths):
+        """The widths each request built before `model_widths` existed."""
+        assert nn.model_widths(architecture, m, hidden) == widths
+        assert model_new(architecture, 0, m=m, hidden=hidden).widths == widths
 
 
 class TestForward:
@@ -465,6 +481,17 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("learning_rate", True), ("learning_rate", "0.01"), ("batch_size", 2.5),
+         ("batch_size", True), ("max_epochs", 3.0), ("patience", 1.5), ("patience", False),
+         ("seed", -1), ("seed", 2.5), ("seed", True)],
+    )
+    def test_config_field_types(self, name, value):
+        """Each field as a model file records it: a bool is no number, a float no count."""
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            TrainConfig(**{name: value})
+
     def test_only_settable_fields(self):
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
             "learning_rate", "batch_size", "max_epochs", "patience", "seed"
@@ -658,6 +685,26 @@ class TestModelSerialization:
             json.dump(payload, handle)
         with pytest.raises(ValueError, match=re.escape(path)):
             load_model(path)
+
+    @pytest.mark.parametrize("width", [10**15, 10**6])
+    def test_edited_width_refused_before_allocation(self, tmp_path, width):
+        """A width that is not the size of its layer's recorded values is refused before
+        a model of that width is allocated, so nothing near its size is ever traced."""
+        path = str(tmp_path / "model.json")
+        save_model(model_new("linear_code", 0, m=1, hidden=(4,)), path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["layer_specs"][1]["width"] = width
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(path)):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("case", sorted(SAVED_DIGESTS))
     def test_any_json_layout_loads(self, tmp_path, case):
