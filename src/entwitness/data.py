@@ -55,7 +55,10 @@ _MANIFEST_ENTRIES = {
     "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
     "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
     "requested_count": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "rank": ("an integer in 1..4", lambda v: type(v) is int and 1 <= v <= 4),
+    "rank": (
+        f"an integer in {quantum.RANKS[0]}..{quantum.RANKS[-1]}",
+        lambda v: type(v) is int and v in quantum.RANKS,
+    ),
     "symmetry": (f"one of {SYMMETRY_MODES}", lambda v: v in SYMMETRY_MODES),
     "balanced": ("true or false", lambda v: isinstance(v, bool)),
 }

@@ -21,13 +21,18 @@ ARCHITECTURES = ("nonlinear_full", "linear_code")
 
 SCORE_CLAMP = 1e-12
 
-# Rows per scoring block. No block is shorter than this unless the whole input is:
-# a separate short tail would change scores (a 1-row matmul goes to gemv, which
-# rounds differently), while these blocks keep them bit-identical to one pass.
-# Blocks stay under 512 rows, well below where OpenBLAS splits a width-1 layer of
-# the default architectures between threads, so scores do not depend on the thread
-# count; a block's widest activation on `nonlinear_full` stays under 1.6 MB.
+# Scoring blocks (`_score_blocks`) hold _SCORE_ROWS..2 * _SCORE_ROWS - 1 rows: at most
+# _SCORE_BLOCK rows of a _SCORE_GRID-row grid on which each block starts, the last block
+# also the rows below the grid. That keeps scores bit-identical to one whole pass: a
+# separate short tail would change them (a 1-row matmul goes to gemv, which rounds
+# differently), and so would a block starting off the grid, since OpenBLAS's gemv (the
+# width-1 output layer) sums rows in groups of four. Under 512 rows a block stays well
+# below where OpenBLAS splits a width-1 layer of the default architectures between
+# threads, so scores do not depend on the thread count; a block's widest activation on
+# `nonlinear_full` stays under 1.6 MB.
 _SCORE_ROWS = 256
+_SCORE_GRID = 32
+_SCORE_BLOCK = 480
 
 # Elements per slice of an Adam step: its five arrays' slices stay in cache together.
 _ADAM_SLICE = 16_384
@@ -244,28 +249,45 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def _score_blocks(n: int) -> list[slice]:
-    """Consecutive row slices covering 0..n: _SCORE_ROWS rows each, the remainder
-    folded into the last, so no block is shorter than _SCORE_ROWS unless n is."""
-    bounds = [*range(0, _SCORE_ROWS * max(n // _SCORE_ROWS, 1), _SCORE_ROWS), n]
-    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    """Consecutive row slices covering 0..n, as few as `_SCORE_BLOCK`-row blocks allow
+    and of roughly equal size: each starts on a multiple of `_SCORE_GRID` rows, where
+    OpenBLAS's gemv starts a group of four rows as in one whole pass, and holds
+    256..511 rows, or it is the one block of an n below 512.
+
+    The blocks share the `n // _SCORE_GRID` grid cells of 32 rows as evenly as
+    they go. With count = ceil(cells / 15) each gets at most 15 cells (480 rows)
+    and, once there are 16 cells or more, at least 8 (256 rows); the last block
+    also takes the rows below the grid, at most 31.
+    """
+    cells, most = n // _SCORE_GRID, _SCORE_BLOCK // _SCORE_GRID
+    count = max(-(-cells // most), 1)
+    starts = [_SCORE_GRID * (cells * i // count) for i in range(count)]
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
 
 
-def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+def forward(
+    model: MlpModel, batch: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
     """Entanglement scores in [0, 1], one per feature row.
 
     Rows are scored in `_score_blocks`, so memory stays bounded whatever the row
-    count. With single-threaded BLAS every score equals that of one whole-matrix
-    pass bit for bit. Blocks of at most 511 rows also keep the width-1 layers of
-    the default widths (the sigmoid output, the m=1 code) on one OpenBLAS thread,
-    so scores do not depend on the thread count; measured with OpenBLAS 0.3.31,
-    which splits the 384-input output layer of `nonlinear_full` from about 1200
-    rows. A training batch above about 1200 rows on `nonlinear_full` may still
-    be split across threads and round a few rows differently.
+    count: without a workspace at most two activations of one block are alive
+    at once, and with one (`train` passes its own) each block's layers are
+    written into the leading rows of its buffers and nothing per block is
+    allocated. Either way, with single-threaded BLAS every score equals that of
+    one whole-matrix pass bit for bit. Blocks of at most 511 rows also keep the
+    width-1 layers of the default widths (the sigmoid output, the m=1 code) on
+    one OpenBLAS thread, so scores do not depend on the thread count; measured
+    with OpenBLAS 0.3.31, which splits the 384-input output layer of
+    `nonlinear_full` from about 1200 rows. A training batch above about 1200
+    rows on `nonlinear_full` may still be split across threads and round a few
+    rows differently.
     """
     x = _check_batch(model, batch)
     scores = np.empty(x.shape[0])
     for rows in _score_blocks(x.shape[0]):
-        scores[rows] = _layers(model, x[rows])[:, 0]
+        outputs = None if workspace is None else workspace.buffers(rows.stop - rows.start)[0]
+        scores[rows] = _layers(model, x[rows], outputs)[:, 0]
     return scores
 
 
@@ -277,29 +299,34 @@ def code_weights(model: MlpModel) -> np.ndarray:
 
 
 class Workspace:
-    """Buffers that one model's training steps reuse instead of allocating.
+    """Buffers that one model's training steps and validation scoring reuse instead
+    of allocating.
 
     `grad` is the flat gradient, laid out like `params` and written through per-layer
-    views. Per batch row count there is one buffer per layer, which holds the layer's
+    views. There is one buffer set: one buffer per layer, which holds the layer's
     output on the forward pass and is overwritten by its delta on the backward pass,
-    and one bool buffer for the relu mask of any one layer.
+    and one bool buffer for the relu mask of any one layer. The set has as many rows
+    as its largest user has asked for (`train` asks for them before its first step,
+    so it allocates the set once); a shorter batch or scoring block uses the set's
+    leading rows. Those are C-contiguous like a fresh array, so every BLAS call is
+    the same call and every bit of its result is unchanged.
     """
 
     def __init__(self, model: MlpModel):
         self.grad, self._weight_grads, self._bias_grads = _views(
             model.layer_specs, np.empty_like(model.params)
         )
-        self._buffers: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
+        self._outputs = [np.empty((0, w.shape[0])) for w in self._weight_grads]
+        self._mask = np.empty(0, dtype=bool)
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-layer buffers of shape (rows, layer width), and the flat mask buffer."""
-        if rows not in self._buffers:
-            widths = [w.shape[0] for w in self._weight_grads]
-            self._buffers[rows] = (
-                [np.empty((rows, width)) for width in widths],
-                np.empty(rows * max(widths), dtype=bool),
-            )
-        return self._buffers[rows]
+        """Per-layer buffers of shape (rows, layer width), and the flat mask buffer; the
+        set is replaced by one of `rows` rows when it has fewer."""
+        if rows > len(self._outputs[0]):
+            widths = [out.shape[1] for out in self._outputs]
+            self._outputs = [np.empty((rows, width)) for width in widths]
+            self._mask = np.empty(rows * max(widths), dtype=bool)
+        return [out[:rows] for out in self._outputs], self._mask
 
 
 def loss_and_gradients(
@@ -406,6 +433,9 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
     params = model.params.copy()
     work = replace(model, params=params)
     workspace = Workspace(work)
+    # The one buffer set, sized for its largest user: a training batch or a scoring block.
+    largest_block = max(rows.stop - rows.start for rows in _score_blocks(x_val.shape[0]))
+    workspace.buffers(max(min(config.batch_size, x_train.shape[0]), largest_block))
     optimizer = _Adam(params.size, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
@@ -427,7 +457,7 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
             loss_sum += loss * idx.size
         train_loss = loss_sum / n
 
-        val_scores = forward(work, x_val)
+        val_scores = forward(work, x_val, workspace)
         val_loss = _bce(val_scores, y_val)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch)

@@ -19,7 +19,9 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 IMAG_TOL = 1e-10
 
-RANKS = (1, 2, 3, 4)  # of the random-state ensembles: 4 is Hilbert-Schmidt, 1 pure states
+# Ranks of the random-state ensembles: 4 is Hilbert-Schmidt, 1 pure states. A range,
+# which messages give as RANKS[0]..RANKS[-1].
+RANKS = (1, 2, 3, 4)
 
 _SIGMA = np.array(
     [
@@ -132,7 +134,7 @@ def _check_rank(rank: int) -> None:
     # integer: numpy would fail on it later with a TypeError.
     is_integer = isinstance(rank, (int, np.integer)) and not isinstance(rank, bool)
     if not is_integer or rank not in RANKS:
-        raise ValueError(f"rank must be an integer in 1..4, got {rank!r}")
+        raise ValueError(f"rank must be an integer in {RANKS[0]}..{RANKS[-1]}, got {rank!r}")
 
 
 def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> DensityMatrix:

@@ -366,6 +366,25 @@ class TestSaveLoad:
         save(ds, path)
         assert load(path).equals(ds)
 
+    @pytest.mark.parametrize("rank", quantum.RANKS)
+    def test_every_rank_round_trips(self, tmp_path, rank):
+        """A manifest `generate` writes at any allowed rank is one `load` accepts."""
+        ds = generate(40, seed=5, rank=rank)
+        path = str(tmp_path / "d.csv")
+        save(ds, path)
+        assert load(path).equals(ds)  # from the binary sidecar
+        os.unlink(arrays_path(path))
+        assert load(path).equals(ds)  # from the CSV
+
+    @pytest.mark.parametrize("rank", [quantum.RANKS[0] - 1, quantum.RANKS[-1] + 1])
+    def test_rank_outside_ranks_rejected(self, saved20, rank):
+        _, path = saved20
+        manifest = json.loads(Path(manifest_path(path)).read_text())
+        Path(manifest_path(path)).write_text(json.dumps({**manifest, "rank": rank}))
+        with pytest.raises(DatasetIntegrityError) as err:
+            load(path)
+        assert str(err.value) == f"{manifest_path(path)}: rank must be an integer in 1..4, got {rank}"
+
     def test_header_pinned(self, tmp_path):
         ds = generate(5, seed=0)
         path = str(tmp_path / "d.csv")

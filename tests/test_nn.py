@@ -205,6 +205,10 @@ SCORE_BLOCK_ROWS = (
     0, 1, 2, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4000, 25000,
 )
 
+#: Row counts around the one-block limit, at which blocks off the 32-row grid
+#: would start, and at which every block holds the most grid rows (960).
+GRID_ROWS = (480, 481, 713, 714, 960, 6000, 15000)
+
 #: Row counts at which a scoring block of 1024 rows or more would reach 1206 rows,
 #: from where OpenBLAS splits the 384-input `nonlinear_full` output layer between
 #: two threads, plus every split size the benchmark and the acceptance suite score.
@@ -246,7 +250,7 @@ def blocked_score_mismatches():
     x = rng.uniform(-1, 1, (max(SCORE_BLOCK_ROWS), 15))
     found = []
     for model in perturbed_models(rng):
-        for n in SCORE_BLOCK_ROWS:
+        for n in (*SCORE_BLOCK_ROWS, *GRID_ROWS):
             whole = nn._layers(model, x[:n])[:, 0]
             if not np.array_equal(forward(model, x[:n]).view(np.int64), whole.view(np.int64)):
                 found.append(f"{model.architecture} m={model.m} n={n}")
@@ -267,7 +271,7 @@ def score_digests():
 
 
 class TestScoreBlocks:
-    @pytest.mark.parametrize("n", [*SCORE_BLOCK_ROWS, 3071, 3072, 50_000])
+    @pytest.mark.parametrize("n", [*SCORE_BLOCK_ROWS, *GRID_ROWS, 3071, 3072, 50_000])
     def test_blocks_cover_rows_in_order(self, n):
         blocks = nn._score_blocks(n)
         assert blocks[0].start == 0 and blocks[-1].stop == n
@@ -275,6 +279,20 @@ class TestScoreBlocks:
         sizes = [block.stop - block.start for block in blocks]
         assert min(sizes) >= nn._SCORE_ROWS or (n < 2 * nn._SCORE_ROWS and sizes == [n])
         assert max(sizes) < 2 * nn._SCORE_ROWS or sizes == [n]
+        # On a 32-row grid OpenBLAS's gemv groups a block's rows by four as one pass does.
+        assert all(block.start % 32 == 0 for block in blocks)
+
+    def test_workspace_scores_equal_fresh(self):
+        """Byte-equal scores whether each block's layers are written into the leading
+        rows of a workspace's buffers, reused across row counts, or allocated."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, (max(SCORE_BLOCK_ROWS), 15))
+        for model in perturbed_models(rng):
+            workspace = nn.Workspace(model)
+            workspace.buffers(2 * nn._SCORE_ROWS - 1)
+            for n in (*SCORE_BLOCK_ROWS, *GRID_ROWS):
+                scores = forward(model, x[:n], workspace)
+                assert scores.tobytes() == forward(model, x[:n]).tobytes(), (model.m, n)
 
     def test_scores_equal_one_whole_matrix_pass(self):
         """Bit for bit, in a child interpreter with single-threaded BLAS.
@@ -397,6 +415,36 @@ class TestLossAndGradients:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("architecture, m", [("nonlinear_full", None), ("linear_code", 9)])
+    def test_allocates_one_buffer_set(self, architecture, m):
+        """Training batches, the short last one (152 rows) and the validation scoring
+        blocks (four for 1500 rows) share one buffer set, sized for the largest
+        block. Beyond it, `train` keeps the params copy, the best-epoch copy, Adam's
+        two moments and its slice buffer, and the gradient, plus at most 256 KiB:
+        a batch copy, numpy's cast buffers and the loss's row temporaries. A second
+        set for the short batch, or activations allocated per scoring block, would
+        add 0.5 MB (linear_code m=9) to 1.4 MB (nonlinear_full) or more."""
+        model = model_new(architecture, 0, m=m)
+        rng = np.random.default_rng(0)
+        n_train, n_val = 2 * 256 + 152, 1500
+        x = rng.uniform(-1, 1, (n_train + n_val, 15))
+        y = rng.uniform(size=n_train + n_val) > 0.5
+        train_ds = SimpleNamespace(features=x[:n_train], labels=y[:n_train])
+        val_ds = SimpleNamespace(features=x[n_train:], labels=y[n_train:])
+        tracemalloc.start()
+        try:
+            train(model, train_ds, val_ds, TrainConfig(max_epochs=2, patience=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        blocks = nn._score_blocks(n_val)
+        rows = max(block.stop - block.start for block in blocks)
+        assert len(blocks) > 1
+        widths = [spec.width for spec in model.layer_specs]
+        one_set = rows * sum(widths) * 8 + rows * max(widths)
+        adam_slice = min(model.params.size, nn._ADAM_SLICE) * 8
+        assert peak < 5 * model.params.nbytes + adam_slice + one_set + 256 * 1024
+
     def test_toy_separable_task_reaches_perfect_accuracy(self):
         train_ds, val_ds = toy_task()
         model = model_new("linear_code", 1, m=3)
