@@ -183,10 +183,11 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def _add_train_flags(parser: argparse.ArgumentParser, epochs_default: int) -> None:
     # Checked by the TrainConfig that `main` builds from them before the command runs.
+    defaults = nn.TrainConfig()
     parser.add_argument("--epochs", type=int, default=epochs_default)
-    parser.add_argument("--batch", type=int, default=256)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--patience", type=int, default=10)
+    parser.add_argument("--batch", type=int, default=defaults.batch_size)
+    parser.add_argument("--lr", type=float, default=defaults.learning_rate)
+    parser.add_argument("--patience", type=int, default=defaults.patience)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--hidden", type=_list_of(int), default=None)
     train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--split", type=_list_of(float), default=[0.8, 0.1, 0.1])
-    _add_train_flags(train, epochs_default=120)
+    _add_train_flags(train, epochs_default=nn.TrainConfig().max_epochs)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
 

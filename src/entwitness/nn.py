@@ -21,16 +21,16 @@ ARCHITECTURES = ("nonlinear_full", "linear_code")
 
 SCORE_CLAMP = 1e-12
 
-# Scoring blocks (`_score_blocks`) hold _SCORE_ROWS..2 * _SCORE_ROWS - 1 rows: at most
-# _SCORE_BLOCK rows of a _SCORE_GRID-row grid on which each block starts, the last block
-# also the rows below the grid. That keeps scores bit-identical to one whole pass: a
+# Scoring blocks (`_score_blocks`) hold at most _SCORE_BLOCK rows of a _SCORE_GRID-row
+# grid on which each block starts, the last block also the rows below the grid: so each
+# holds 8 * _SCORE_GRID to _SCORE_BLOCK + _SCORE_GRID - 1 rows (256..511), or it is the one
+# block of fewer than 512 rows. That keeps scores bit-identical to one whole pass: a
 # separate short tail would change them (a 1-row matmul goes to gemv, which rounds
 # differently), and so would a block starting off the grid, since OpenBLAS's gemv (the
 # width-1 output layer) sums rows in groups of four. Under 512 rows a block stays well
 # below where OpenBLAS splits a width-1 layer of the default architectures between
 # threads, so scores do not depend on the thread count; a block's widest activation on
 # `nonlinear_full` stays under 1.6 MB.
-_SCORE_ROWS = 256
 _SCORE_GRID = 32
 _SCORE_BLOCK = 480
 
@@ -106,7 +106,7 @@ class MlpModel:
     def __post_init__(self) -> None:
         self.widths = tuple(self.widths)
         self.layer_specs = _layer_specs(self.architecture, self.widths)
-        self.code = 0 if self.architecture == "linear_code" else len(self.widths) - 1
+        self.code = [spec.activation for spec in self.layer_specs].index("linear")
         self.params, self.weights, self.biases = _views(self.layer_specs, self.params)
 
     @property
@@ -166,7 +166,12 @@ def _views(
     elif not isinstance(params, np.ndarray) or params.shape != (size,) or not (
         params.dtype == np.float64 and params.flags.c_contiguous
     ):
-        raise ValueError(f"params must be a 1-D C-contiguous float64 array of {size} values")
+        got = (
+            f"{params.size} {params.dtype} values of shape {params.shape}"
+            if isinstance(params, np.ndarray) else f"a {type(params).__name__}"
+        )
+        raise ValueError(f"params must be a 1-D C-contiguous float64 array of {size} values, "
+                         f"got {got}")
     weights, biases, offset = [], [], 0
     for spec, fan_in in zip(specs, fan_ins):
         weights.append(params[offset : offset + spec.width * fan_in].reshape(spec.width, fan_in))
@@ -251,8 +256,8 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 def _score_blocks(n: int) -> list[slice]:
     """Consecutive row slices covering 0..n, as few as `_SCORE_BLOCK`-row blocks allow
     and of roughly equal size: each starts on a multiple of `_SCORE_GRID` rows, where
-    OpenBLAS's gemv starts a group of four rows as in one whole pass, and holds
-    256..511 rows, or it is the one block of an n below 512.
+    OpenBLAS's gemv starts a group of four rows as in one whole pass, and holds the
+    rows that the comment on the scoring constants bounds.
 
     The blocks share the `n // _SCORE_GRID` grid cells of 32 rows as evenly as
     they go. With count = ceil(cells / 15) each gets at most 15 cells (480 rows)
@@ -272,16 +277,16 @@ def forward(
 
     Rows are scored in `_score_blocks`, so memory stays bounded whatever the row
     count: without a workspace at most two activations of one block are alive
-    at once, and with one (`train` passes its own) each block's layers are
-    written into the leading rows of its buffers and nothing per block is
-    allocated. Either way, with single-threaded BLAS every score equals that of
-    one whole-matrix pass bit for bit. Blocks of at most 511 rows also keep the
-    width-1 layers of the default widths (the sigmoid output, the m=1 code) on
-    one OpenBLAS thread, so scores do not depend on the thread count; measured
-    with OpenBLAS 0.3.31, which splits the 384-input output layer of
-    `nonlinear_full` from about 1200 rows. A training batch above about 1200
-    rows on `nonlinear_full` may still be split across threads and round a few
-    rows differently.
+    at once, and with one (`train` passes its own, with rows for the largest
+    block) each block's layers are written into the leading rows of its buffers
+    and nothing per block is allocated. Either way, with single-threaded BLAS
+    every score equals that of one whole-matrix pass bit for bit. The block
+    bound (see the scoring constants) also keeps the width-1 layers of the
+    default widths (the sigmoid output, the m=1 code) on one OpenBLAS thread, so
+    scores do not depend on the thread count; measured with OpenBLAS 0.3.31,
+    which splits the 384-input output layer of `nonlinear_full` from about 1200
+    rows. A training batch above about 1200 rows on `nonlinear_full` may still
+    be split across threads and round a few rows differently.
     """
     x = _check_batch(model, batch)
     scores = np.empty(x.shape[0])
@@ -303,29 +308,27 @@ class Workspace:
     of allocating.
 
     `grad` is the flat gradient, laid out like `params` and written through per-layer
-    views. There is one buffer set: one buffer per layer, which holds the layer's
-    output on the forward pass and is overwritten by its delta on the backward pass,
-    and one bool buffer for the relu mask of any one layer. The set has as many rows
-    as its largest user has asked for (`train` asks for them before its first step,
-    so it allocates the set once); a shorter batch or scoring block uses the set's
+    views. There is one buffer set of `rows` rows, allocated here: one buffer per
+    layer, which holds the layer's output on the forward pass and is overwritten by
+    its delta on the backward pass, and one bool buffer for the relu mask of any one
+    layer. Its owner sizes it for its largest batch or scoring block (for a scoring
+    block, see the bound on the scoring constants); a shorter one uses the set's
     leading rows. Those are C-contiguous like a fresh array, so every BLAS call is
     the same call and every bit of its result is unchanged.
     """
 
-    def __init__(self, model: MlpModel):
+    def __init__(self, model: MlpModel, rows: int):
         self.grad, self._weight_grads, self._bias_grads = _views(
             model.layer_specs, np.empty_like(model.params)
         )
-        self._outputs = [np.empty((0, w.shape[0])) for w in self._weight_grads]
-        self._mask = np.empty(0, dtype=bool)
+        widths = [spec.width for spec in model.layer_specs]
+        self._outputs = [np.empty((rows, width)) for width in widths]
+        self._mask = np.empty(rows * max(widths), dtype=bool)
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-layer buffers of shape (rows, layer width), and the flat mask buffer; the
-        set is replaced by one of `rows` rows when it has fewer."""
+        """The leading `rows` rows of each layer's buffer, and the flat mask buffer."""
         if rows > len(self._outputs[0]):
-            widths = [out.shape[1] for out in self._outputs]
-            self._outputs = [np.empty((rows, width)) for width in widths]
-            self._mask = np.empty(rows * max(widths), dtype=bool)
+            raise ValueError(f"{rows} rows asked of a workspace of {len(self._outputs[0])}")
         return [out[:rows] for out in self._outputs], self._mask
 
 
@@ -344,7 +347,7 @@ def loss_and_gradients(
     if y.shape != (batch.shape[0],):
         raise ValueError(f"labels shape {y.shape} does not match batch {batch.shape}")
     if workspace is None:
-        workspace = Workspace(model)
+        workspace = Workspace(model, batch.shape[0])
     outputs, mask = workspace.buffers(batch.shape[0])
 
     scores = _layers(model, batch, outputs)[:, 0]
@@ -432,10 +435,9 @@ def train(model: MlpModel, train_ds, validation_ds, config: TrainConfig) -> Trai
     # Adam and the best-epoch snapshot each act on the single flat array.
     params = model.params.copy()
     work = replace(model, params=params)
-    workspace = Workspace(work)
     # The one buffer set, sized for its largest user: a training batch or a scoring block.
     largest_block = max(rows.stop - rows.start for rows in _score_blocks(x_val.shape[0]))
-    workspace.buffers(max(min(config.batch_size, x_train.shape[0]), largest_block))
+    workspace = Workspace(work, max(min(config.batch_size, x_train.shape[0]), largest_block))
     optimizer = _Adam(params.size, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
@@ -520,29 +522,24 @@ def load_model(path: str) -> MlpModel:
         if not isinstance(payload, dict):
             raise ValueError("model file must hold a JSON object")
         specs, architecture = payload.get("layer_specs"), payload.get("architecture")
-        if not isinstance(specs, list) or not all(isinstance(spec, dict) for spec in specs):
+        if not isinstance(specs, list) or not specs or not all(isinstance(s, dict) for s in specs):
             raise ValueError("layer_specs must list layers")
         weights, biases = payload.get("weights"), payload.get("biases")
         if not all(isinstance(x, list) and len(x) == len(specs) for x in (weights, biases)):
             raise ValueError(f"weights and biases must list all {len(specs)} layers")
-        # Each layer's values (None for an absent bias) must have the shapes its layer_specs
-        # entry gives before a model is allocated, so an edited width of 10**15 is refused.
-        fan_in, values = MlpModel.input_width, []
-        for i, (spec, *recorded) in enumerate(zip(specs, weights, biases)):
-            values.append([None if x is None else np.array(x, dtype=float) for x in recorded])
-            found = [None if x is None else x.shape for x in values[-1]]
-            width = spec.get("width")
-            needed = [(width, fan_in), (width,) if spec.get("has_bias") is True else None]
-            if found != needed:
-                raise ValueError(f"layer {i} weight and bias have shapes {found}, not {needed}")
-            fan_in = width
+        # The recorded values in file order, a null bias skipped, are the model's params:
+        # `_views` refuses a total its layout does not hold before anything of that size is
+        # allocated, so an edited width of 10**15 is refused.
+        values = [[np.array(w, dtype=float), None if b is None else np.array(b, dtype=float)]
+                  for w, b in zip(weights, biases)]
+        params = np.concatenate([x.ravel() for layer in values for x in layer if x is not None])
         # The decoder of nonlinear_full mirrors its encoder; the output layer is never given.
-        widths = [spec["width"] for spec in specs]
+        widths = [spec.get("width") for spec in specs]
         widths = widths[: len(widths) // 2] if architecture == "nonlinear_full" else widths[:-1]
         best_epoch = payload.get("best_epoch")
         if type(best_epoch) not in (int, type(None)):  # a JSON true or false is not an integer
             raise ValueError(f"best_epoch must be an integer or null, got {best_epoch!r}")
-        model = MlpModel(architecture, widths, best_epoch=best_epoch)
+        model = MlpModel(architecture, widths, params, best_epoch=best_epoch)
         # Every entry save_model writes for the rebuilt model, compared as JSON text so that
         # a 1 where true belongs differs too; training_config may hold Adam-era entries.
         for key, value in _recorded_entries(model).items():
@@ -550,11 +547,12 @@ def load_model(path: str) -> MlpModel:
                 json.dumps(payload[key], sort_keys=True) != json.dumps(value, sort_keys=True)
             ):
                 raise ValueError(f"{key!r} is missing or not that of {architecture} {model.widths}")
+        # Each layer's values (None for an absent bias) must have the shapes of its views.
+        for i, (layer, *views) in enumerate(zip(values, model.weights, model.biases)):
+            found, needed = ([None if x is None else x.shape for x in xs] for xs in (layer, views))
+            if found != needed:
+                raise ValueError(f"layer {i} weight and bias have shapes {found}, not {needed}")
         model.training_config = _load_training_config(payload["training_config"])
-        for (w, b), weight, bias in zip(values, model.weights, model.biases):
-            weight[...] = w
-            if b is not None:  # the layer_specs compared equal, so the shapes do too
-                bias[...] = b
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model

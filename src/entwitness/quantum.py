@@ -143,18 +143,13 @@ def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> DensityMat
     At rank 4 this samples the Hilbert-Schmidt-induced measure; lower ranks give
     rank-deficient states (rank 1 is a Haar-random pure state).
     """
-    _check_rank(rank)
-    g = rng.standard_normal((2, 4, rank))
-    ginibre = g[0] + 1j * g[1]
-    rho = ginibre @ ginibre.conj().T
-    rho /= np.trace(rho).real
-    return DensityMatrix(rho)
+    return DensityMatrix(_random_density_matrices(rng, 1, rank)[0])
 
 
 def _random_density_matrices(
     rng: np.random.Generator, count: int, rank: int = 4
 ) -> np.ndarray:
-    """Batch form of random_density_matrix; consumes the RNG stream identically."""
+    """`count` draws of random_density_matrix as one (count, 4, 4) array, unvalidated."""
     _check_rank(rank)
     g = rng.standard_normal((count, 2, 4, rank))
     ginibre = g[:, 0] + 1j * g[:, 1]

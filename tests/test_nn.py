@@ -132,15 +132,21 @@ class TestModelNew:
             return LayerSpec(width, "relu")
 
         output = LayerSpec(1, "sigmoid")
-        assert model_new("nonlinear_full", 0, hidden=(16, 8, 4)).layer_specs == (
+        full = model_new("nonlinear_full", 0, hidden=(16, 8, 4))
+        assert full.layer_specs == (
             relu(16), relu(8), LayerSpec(4, "linear"), relu(8), relu(16), output
         )
-        assert model_new("linear_code", 0, m=4, hidden=(7,)).layer_specs == (
-            LayerSpec(4, "linear", has_bias=False), relu(7), output
-        )
-        assert model_new("linear_code", 0, m=2, hidden=()).layer_specs == (
-            LayerSpec(2, "linear", has_bias=False), output
-        )
+        linear = model_new("linear_code", 0, m=4, hidden=(7,))
+        assert linear.layer_specs == (LayerSpec(4, "linear", has_bias=False), relu(7), output)
+        bare = model_new("linear_code", 0, m=2, hidden=())
+        assert bare.layer_specs == (LayerSpec(2, "linear", has_bias=False), output)
+        # `code` is the index of the one linear layer, for the default widths too.
+        defaults = model_new("nonlinear_full", 0), model_new("linear_code", 0, m=3)
+        built = (full, linear, bare, *defaults)
+        assert [model.code for model in built] == [2, 0, 0, 2, 0]
+        for model in built:
+            activations = [spec.activation for spec in model.layer_specs]
+            assert activations.count("linear") == 1 and activations[model.code] == "linear"
 
     @pytest.mark.parametrize(
         "architecture, m, hidden",
@@ -208,6 +214,10 @@ SCORE_BLOCK_ROWS = (
 #: Row counts around the one-block limit, at which blocks off the 32-row grid
 #: would start, and at which every block holds the most grid rows (960).
 GRID_ROWS = (480, 481, 713, 714, 960, 6000, 15000)
+
+#: The fewest and the most rows of a scoring block, when there are two or more.
+FEWEST_BLOCK_ROWS = 8 * nn._SCORE_GRID
+MOST_BLOCK_ROWS = nn._SCORE_BLOCK + nn._SCORE_GRID - 1
 
 #: Row counts at which a scoring block of 1024 rows or more would reach 1206 rows,
 #: from where OpenBLAS splits the 384-input `nonlinear_full` output layer between
@@ -277,8 +287,8 @@ class TestScoreBlocks:
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         sizes = [block.stop - block.start for block in blocks]
-        assert min(sizes) >= nn._SCORE_ROWS or (n < 2 * nn._SCORE_ROWS and sizes == [n])
-        assert max(sizes) < 2 * nn._SCORE_ROWS or sizes == [n]
+        assert min(sizes) >= FEWEST_BLOCK_ROWS or (n < 2 * FEWEST_BLOCK_ROWS and sizes == [n])
+        assert max(sizes) <= MOST_BLOCK_ROWS or sizes == [n]
         # On a 32-row grid OpenBLAS's gemv groups a block's rows by four as one pass does.
         assert all(block.start % 32 == 0 for block in blocks)
 
@@ -288,8 +298,7 @@ class TestScoreBlocks:
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, (max(SCORE_BLOCK_ROWS), 15))
         for model in perturbed_models(rng):
-            workspace = nn.Workspace(model)
-            workspace.buffers(2 * nn._SCORE_ROWS - 1)
+            workspace = nn.Workspace(model, MOST_BLOCK_ROWS)
             for n in (*SCORE_BLOCK_ROWS, *GRID_ROWS):
                 scores = forward(model, x[:n], workspace)
                 assert scores.tobytes() == forward(model, x[:n]).tobytes(), (model.m, n)
@@ -322,8 +331,7 @@ class TestScoreBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        largest_block = 2 * nn._SCORE_ROWS - 1
-        assert peak - scores.nbytes < 2 * largest_block * max(FULL_ENCODER_WIDTHS) * 8
+        assert peak - scores.nbytes < 2 * MOST_BLOCK_ROWS * max(FULL_ENCODER_WIDTHS) * 8
 
 
 class TestLossAndGradients:
@@ -383,7 +391,7 @@ class TestLossAndGradients:
         model = build()
         rng = np.random.default_rng(0)
         model.params += 0.1 * rng.standard_normal(model.params.size)
-        workspace = nn.Workspace(model)
+        workspace = nn.Workspace(model, 256)
         for rows in (256, 32, 256):
             batch = rng.uniform(-1, 1, (rows, 15))
             labels = (rng.uniform(size=rows) > 0.5).astype(float)
@@ -391,6 +399,13 @@ class TestLossAndGradients:
             fresh_loss, fresh_grad = loss_and_gradients(model, batch, labels)
             assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
             assert grad.tobytes() == fresh_grad.tobytes()
+
+    def test_workspace_refuses_more_rows_than_it_holds(self):
+        workspace = nn.Workspace(model_new("linear_code", 0, m=3), 32)
+        outputs, _ = workspace.buffers(32)
+        assert [out.shape for out in outputs] == [(32, 3), (32, 256), (32, 128), (32, 1)]
+        with pytest.raises(ValueError, match="33 rows asked of a workspace of 32"):
+            workspace.buffers(33)
 
     def test_first_call_allocates_one_activation_set(self):
         """The backward pass writes each delta over an activation, so a first call
@@ -696,6 +711,9 @@ class TestModelSerialization:
             lambda p: (p["layer_specs"][0].update(has_bias=True), p["biases"].__setitem__(0, [0])),
             lambda p: p["layer_specs"][1].update(has_bias=1),
             lambda p: p["layer_specs"][1].update(width=256.0),
+            # The layout's total kept, a layer's shapes changed.
+            lambda p: p["weights"].__setitem__(0, [[x] for x in p["weights"][0][0]]),
+            lambda p: p["biases"][3].append(p["biases"][1].pop()),
         ],
         ids=[
             "input_width-14",
@@ -721,6 +739,8 @@ class TestModelSerialization:
             "bias-on-linear_code-code",
             "has_bias-1",
             "width-float",
+            "code-transposed",
+            "bias-value-moved",
         ],
     )
     def test_hand_edited_file_rejected(self, tmp_path, edit):

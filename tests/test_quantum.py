@@ -99,7 +99,7 @@ class TestRandomDensityMatrix:
         batch = quantum._random_density_matrices(np.random.default_rng(123), 16)
         rng = np.random.default_rng(123)
         singles = np.stack([random_density_matrix(rng).matrix for _ in range(16)])
-        assert np.abs(batch - singles).max() < 1e-14
+        assert np.array_equal(batch, singles)
 
     def test_separable_fraction_near_measured_constant(self):
         mats = quantum._random_density_matrices(np.random.default_rng(0), 100_000)
