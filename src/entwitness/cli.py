@@ -3,7 +3,9 @@
 Subcommands: gen (datasets), train (one model, calibrated into a precision-1
 witness), sweep (accuracy and precision-1 recall across m), weights (export
 learned measurement matrix). Every run that writes files records all its
-parsed flags in <out>.config.json.
+parsed flags in <out>.config.json. The formats only users read (history, report,
+weights and sweep files, and the config record) are written here; those the program
+reads back belong to their readers, datasets to `data` and model files to `nn`.
 All randomness flows from --seed through labeled sub-streams, so identical
 flags reproduce identical files.
 """
@@ -14,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, astuple
+from typing import Iterable, Sequence
 
 from . import data, nn, witness
 from .quantum import FEATURE_NAMES, RANKS
@@ -50,16 +54,35 @@ def _list_of(item):
     return parse
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """A header line and one line per row; floats as .17g, which reads back to the same
+    value, everything else through str."""
+    lines = [",".join(header)]
+    lines += (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(payload) -> str:
+    """Indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _report_payload(report: witness.WitnessReport) -> dict:
+    """A witness report as the report file holds it: counts, rates and threshold."""
+    counts = ("true_separable_correct", "false_positive", "false_negative",
+              "true_entangled_correct")
+    return {
+        "counts": {name: getattr(report, name) for name in counts},
+        "rates": {name: getattr(report, name) for name in ("accuracy", "precision", "recall")},
+        "threshold": report.threshold,
+    }
+
+
 def _write_config(args: argparse.Namespace) -> None:
     """Record every parsed flag, and the subcommand, in <out>.config.json."""
     payload = {key: value for key, value in vars(args).items() if key != "func"}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    data._write_atomic(_output_paths(args)[-1], text)
-
-
-def _stem(path: str) -> str:
-    root, ext = os.path.splitext(path)
-    return root if ext else path
+    data._write_atomic(_output_paths(args)[-1], _json_text(payload))
 
 
 def _output_paths(args: argparse.Namespace) -> list[str]:
@@ -68,7 +91,7 @@ def _output_paths(args: argparse.Namespace) -> list[str]:
     none is a directory."""
     if args.out is None:
         return []
-    stem = _stem(args.out)
+    stem = os.path.splitext(args.out)[0]
     siblings = {
         "gen": [data.manifest_path(args.out), data.arrays_path(args.out)],
         "train": [stem + ".history.csv", stem + ".report.json"],
@@ -116,19 +139,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = nn.model_new(architecture, init_seed, m=args.m, hidden=args.hidden)
     config = _train_config(args, data.derived_seed(args.seed, data.STREAM_SHUFFLE))
     trained, history = nn.train(model, train_ds, val_ds, config)
+    # Made before the first file is written, so a failure here leaves no partial outputs.
+    report, calibrated = witness.witness_reports(trained, val_ds, test_ds)
 
     model_path, history_path, report_path, _ = _output_paths(args)
     nn.save_model(trained, model_path)
-    lines = ["epoch,train_loss,validation_loss,validation_accuracy"]
-    for i, rec in enumerate(history.epochs):
-        lines.append(
-            f"{i},{rec.train_loss:.17g},{rec.validation_loss:.17g},"
-            f"{rec.validation_accuracy:.17g}"
-        )
-    data._write_atomic(history_path, "\n".join(lines) + "\n")
-
-    report, calibrated = witness.witness_reports(trained, val_ds, test_ds)
-    witness.save_report(report, calibrated, report_path)
+    epochs = ((i, *rec) for i, rec in enumerate(history.epochs))
+    data._write_atomic(history_path, _csv_text(("epoch", *nn.EpochRecord._fields), epochs))
+    payload = _report_payload(report)
+    payload["calibrated"] = None if calibrated is None else _report_payload(calibrated)
+    data._write_atomic(report_path, _json_text(payload))
     _write_config(args)
     if calibrated is None:
         verdict = "no precision-1 threshold on the validation split"
@@ -155,7 +175,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rank=args.rank,
     )
     csv_path, json_path, _ = _output_paths(args)
-    witness.save_sweep(rows, csv_path, json_path)
+    header = ("m", "symmetry", "seed", "accuracy", "recall_p1")
+    data._write_atomic(csv_path, _csv_text(header, map(astuple, rows)))
+    # Unlike the other JSON files, the rows keep their fields' order.
+    data._write_atomic(json_path, json.dumps([asdict(row) for row in rows], indent=2) + "\n")
     _write_config(args)
     for row in rows:
         print(
@@ -168,10 +191,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_weights(args: argparse.Namespace) -> int:
     model = nn.load_model(args.model)
     matrix = nn.code_weights(model)
-    lines = [",".join(FEATURE_NAMES)]
-    for row in matrix:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(FEATURE_NAMES, matrix)
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -533,12 +533,15 @@ def load_model(path: str) -> MlpModel:
         values = [[np.array(w, dtype=float), None if b is None else np.array(b, dtype=float)]
                   for w, b in zip(weights, biases)]
         params = np.concatenate([x.ravel() for layer in values for x in layer if x is not None])
+        if not np.all(np.isfinite(params)):  # JSON NaN and Infinity parse as floats
+            raise ValueError("weights and biases must be finite")
         # The decoder of nonlinear_full mirrors its encoder; the output layer is never given.
         widths = [spec.get("width") for spec in specs]
         widths = widths[: len(widths) // 2] if architecture == "nonlinear_full" else widths[:-1]
         best_epoch = payload.get("best_epoch")
-        if type(best_epoch) not in (int, type(None)):  # a JSON true or false is not an integer
-            raise ValueError(f"best_epoch must be an integer or null, got {best_epoch!r}")
+        # A JSON true or false is not an integer.
+        if best_epoch is not None and (type(best_epoch) is not int or best_epoch < 0):
+            raise ValueError(f"best_epoch must be an integer >= 0 or null, got {best_epoch!r}")
         model = MlpModel(architecture, widths, params, best_epoch=best_epoch)
         # Every entry save_model writes for the rebuilt model, compared as JSON text so that
         # a 1 where true belongs differs too; training_config may hold Adam-era entries.

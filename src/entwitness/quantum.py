@@ -82,7 +82,6 @@ _FEATURE_TABLE = _gather_table(
 _MATRIX_TABLE = _gather_table(_complex_coefs(_PAULI_15.reshape(15, 16).T)[:, 0::2])
 
 # Feature positions used by the cylindrical twirl.
-_G0Z, _GZ0, _GZZ = 2, 11, 14
 _GXX, _GYY = 4, 9
 _GXY, _GYX = 5, 8
 _TWIRL_ZEROED = (0, 1, 3, 6, 7, 10, 12, 13)

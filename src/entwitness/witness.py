@@ -7,8 +7,7 @@ what remains above the threshold is the recall the witness can still deliver.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,13 +19,10 @@ from .data import (
     STREAM_SHUFFLE,
     STREAM_SPLIT,
     Dataset,
-    _write_atomic,
     derived_seed,
     generate,
     split,
 )
-
-SWEEP_CSV_HEADER = "m,symmetry,seed,accuracy,recall_p1"
 
 
 class CalibrationDegenerateError(RuntimeError):
@@ -165,42 +161,3 @@ def sweep_measurements(
             recall = calibrated.recall if calibrated is not None else 0.0
             rows.append(SweepRow(m, symmetry, int(seed), at_half.accuracy, recall))
     return rows
-
-
-def report_to_dict(report: WitnessReport) -> dict:
-    return {
-        "counts": {
-            "true_separable_correct": report.true_separable_correct,
-            "false_positive": report.false_positive,
-            "false_negative": report.false_negative,
-            "true_entangled_correct": report.true_entangled_correct,
-        },
-        "rates": {
-            "accuracy": report.accuracy,
-            "precision": report.precision,
-            "recall": report.recall,
-        },
-        "threshold": report.threshold,
-    }
-
-
-def save_report(report: WitnessReport, calibrated: WitnessReport | None, path: str) -> None:
-    """Write `report` with the calibrated witness's report under "calibrated" (null if none)."""
-    payload = report_to_dict(report)
-    payload["calibrated"] = report_to_dict(calibrated) if calibrated is not None else None
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.m},{row.symmetry},{row.seed},"
-            f"{row.accuracy:.17g},{row.recall_at_precision_one:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def save_sweep(rows: Sequence[SweepRow], csv_path: str, json_path: str) -> None:
-    _write_atomic(csv_path, sweep_to_csv(rows))
-    _write_atomic(json_path, json.dumps([asdict(r) for r in rows], indent=2) + "\n")

@@ -157,7 +157,7 @@ class TestTrain:
             data.load(path), (0.8, 0.1, 0.1), data.derived_seed(1, data.STREAM_SPLIT)
         )
         threshold = witness.calibrate_threshold(model, validation)
-        assert calibrated == witness.report_to_dict(witness.evaluate(model, test, threshold))
+        assert calibrated == cli._report_payload(witness.evaluate(model, test, threshold))
         printed = capsys.readouterr().out
         assert f"witness at threshold {calibrated['threshold']:.6g}" in printed
         assert f"{calibrated['counts']['false_positive']} false positives" in printed
@@ -222,6 +222,23 @@ class TestTrain:
         assert capsys.readouterr().err == "error: the test part of a 50-row split is empty\n"
         assert os.listdir(out) == []
 
+    def test_nothing_written_when_the_witness_step_fails(
+        self, tmp_path, small_dataset, monkeypatch
+    ):
+        class WitnessFailed(Exception):
+            pass
+
+        def fail(*args):
+            raise WitnessFailed
+
+        monkeypatch.setattr(witness, "witness_reports", fail)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(WitnessFailed):
+            run(["train", "--data", small_dataset, "--arch", "linear", "--m", "3",
+                 "--epochs", "1", "--out", str(out / "m.json")])
+        assert os.listdir(out) == []
+
     def test_bad_split_is_usage_error(self, tmp_path, small_dataset):
         with pytest.raises(SystemExit) as err:
             run(["train", "--data", small_dataset, "--split", "0.5,0.5,0.5",
@@ -265,6 +282,29 @@ class TestSweep:
         with pytest.raises(SystemExit) as err:
             run(["sweep", "--m", "", "--out", str(tmp_path / "s.csv")])
         assert err.value.code == 2
+
+
+class TestOutputBytes:
+    def test_train_and_weights_bytes_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for command in [
+            "gen --n 600 --seed 4 --out d.csv",
+            "train --data d.csv --arch linear --m 3 --epochs 2 --seed 1 --out m.json",
+            "train --data d.csv --arch full --hidden 16,8,4 --epochs 2 --seed 1 --out f.json",
+            "weights --model m.json --out w.csv",
+        ]:
+            assert run(command.split()) == 0
+        names = ["m.json", "m.history.csv", "m.report.json",
+                 "f.json", "f.history.csv", "f.report.json", "w.csv"]
+        assert {name: hashlib.sha256(read_bytes(name)).hexdigest() for name in names} == {
+            "m.json": "9aeeef817bd59c41a5a19603e53fda8fcb93ee4841db3a1796af46f9f949a06f",
+            "m.history.csv": "753883b561de785115a5f3e188ce33fd6db24d4d45698e03f2a8860667882828",
+            "m.report.json": "dd86b404b203a078c6af400e56a43af99bc8a7ea9c1b35dac90692aa274a3772",
+            "f.json": "b9b477a2097a026ee909a6096a54e906a48d57fb8822f7c506741840e302af11",
+            "f.history.csv": "55679042bb77fc368259c1c4714cdb8630b4b840c3e7e49b0dee5c0812ea7b80",
+            "f.report.json": "7c327e7bcbcaa37176bab785c613bb992868de7f3db916ba361e726d3adf777f",
+            "w.csv": "d3f06f573935da3051f32bfe4e8d106153616c9c7d05c19be3f0f045c1322af2",
+        }
 
 
 class TestFileModes:

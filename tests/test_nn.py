@@ -714,6 +714,10 @@ class TestModelSerialization:
             # The layout's total kept, a layer's shapes changed.
             lambda p: p["weights"].__setitem__(0, [[x] for x in p["weights"][0][0]]),
             lambda p: p["biases"][3].append(p["biases"][1].pop()),
+            # json.dump writes these as NaN and Infinity, which json.load reads back.
+            lambda p: p["weights"][1][0].__setitem__(0, float("nan")),
+            lambda p: p["biases"][1].__setitem__(0, float("inf")),
+            lambda p: p.update(best_epoch=-7),
         ],
         ids=[
             "input_width-14",
@@ -741,6 +745,9 @@ class TestModelSerialization:
             "width-float",
             "code-transposed",
             "bias-value-moved",
+            "nan-weight",
+            "inf-bias",
+            "best_epoch-negative",
         ],
     )
     def test_hand_edited_file_rejected(self, tmp_path, edit):

@@ -5,17 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
-from entwitness import nn, witness
+from entwitness import cli, nn, witness
 from entwitness.data import Dataset, generate, split
 from entwitness.nn import TrainConfig, model_new
 from entwitness.witness import (
     CalibrationDegenerateError,
-    SweepRow,
     calibrate_threshold,
     evaluate,
-    report_to_dict,
     sweep_measurements,
-    sweep_to_csv,
     witness_reports,
 )
 
@@ -220,10 +217,6 @@ class TestSweep:
             assert 0.0 <= row.accuracy <= 1.0
             assert 0.0 <= row.recall_at_precision_one <= 1.0
             assert row.symmetry == "none"
-        csv_text = sweep_to_csv(rows)
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == "m,symmetry,seed,accuracy,recall_p1"
-        assert len(lines) == 5
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -252,7 +245,7 @@ class TestSweep:
 
     def test_report_dict_shape(self):
         model, ds = scored_dataset(np.array([0.1]), np.array([0.9]))
-        payload = report_to_dict(evaluate(model, ds, 0.5))
+        payload = cli._report_payload(evaluate(model, ds, 0.5))
         assert set(payload) == {"counts", "rates", "threshold"}
         assert set(payload["counts"]) == {
             "true_separable_correct",
