@@ -63,11 +63,6 @@ def _csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(payload) -> str:
-    """Indented JSON with sorted keys and a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _report_payload(report: witness.WitnessReport) -> dict:
     """A witness report as the report file holds it: counts, rates and threshold."""
     counts = ("true_separable_correct", "false_positive", "false_negative",
@@ -82,7 +77,7 @@ def _report_payload(report: witness.WitnessReport) -> dict:
 def _write_config(args: argparse.Namespace) -> None:
     """Record every parsed flag, and the subcommand, in <out>.config.json."""
     payload = {key: value for key, value in vars(args).items() if key != "func"}
-    data._write_atomic(_output_paths(args)[-1], _json_text(payload))
+    data._write_atomic(_output_paths(args)[-1], data._json_text(payload))
 
 
 def _output_paths(args: argparse.Namespace) -> list[str]:
@@ -148,7 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data._write_atomic(history_path, _csv_text(("epoch", *nn.EpochRecord._fields), epochs))
     payload = _report_payload(report)
     payload["calibrated"] = None if calibrated is None else _report_payload(calibrated)
-    data._write_atomic(report_path, _json_text(payload))
+    data._write_atomic(report_path, data._json_text(payload))
     _write_config(args)
     if calibrated is None:
         verdict = "no precision-1 threshold on the validation split"

@@ -101,7 +101,7 @@ def _check_invariants(ds: Dataset, path: str) -> None:
     count = ds.manifest["count"]
     if count != len(ds):
         raise DatasetIntegrityError(f"{path}: manifest count {count} != {len(ds)} rows")
-    bad = np.flatnonzero(ds.labels != (ds.det_pt < 0.0)) + 2
+    bad = np.flatnonzero(ds.labels != quantum._ppt_labels(ds.det_pt)) + 2
     if bad.size:  # numbered as CSV file lines, the header being line 1
         raise DatasetIntegrityError(f"{path}: row {bad[0]}: label inconsistent with det_pt sign")
 
@@ -139,7 +139,7 @@ def generate(
         features[pos : pos + k] = gammas
         det_pt[pos : pos + k] = quantum._det_pt_of_matrices(rhos)
         pos += k
-    labels = det_pt < 0.0
+    labels = quantum._ppt_labels(det_pt)
 
     if balance:
         keep = _balance_indices(labels, seed)
@@ -253,6 +253,11 @@ def _write_atomic(path: str, chunks: str | Iterable[str | bytes | np.ndarray]) -
         raise
 
 
+def _json_text(payload) -> str:
+    """Indented JSON, keys sorted, final newline: each JSON file but the sweep's."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def manifest_path(path: str) -> str:
     return f"{path}.manifest.json"
 
@@ -316,9 +321,7 @@ def save(ds: Dataset, path: str) -> None:
     _check_invariants(ds, path)
     digest = hashlib.sha256()
     _write_atomic(path, _csv_blocks(ds, digest))
-    _write_atomic(
-        manifest_path(path), json.dumps(ds.manifest, indent=2, sort_keys=True) + "\n"
-    )
+    _write_atomic(manifest_path(path), _json_text(ds.manifest))
     _write_atomic(
         arrays_path(path),
         (
@@ -379,7 +382,7 @@ def _read_arrays(path: str, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if not (
         _all_finite(features)
         and _all_finite(det_pt)
-        and np.array_equal(labels.view(np.uint8), det_pt < 0.0)
+        and np.array_equal(labels.view(np.uint8), quantum._ppt_labels(det_pt))
     ):
         return None
     return features, labels, det_pt

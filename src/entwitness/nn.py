@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import _write_atomic
+from .data import _json_text, _write_atomic
 
 ARCHITECTURES = ("nonlinear_full", "linear_code")
 
@@ -90,7 +89,7 @@ def _layer_specs(architecture: str, widths: Sequence[int]) -> tuple[LayerSpec, .
 class MlpModel:
     """An architecture, its widths (as `_layer_specs` takes them) and one flat `params` array,
     zeroed when not given; `weights` (per layer, shape (fan_out, fan_in)) and `biases` are
-    views into it. Every layer but the linear code (index `code`) and the output is relu."""
+    views into it. Each layer applies the activation its `layer_specs` entry records."""
 
     input_width: ClassVar[int] = 15
     architecture: str
@@ -99,14 +98,12 @@ class MlpModel:
     training_config: "TrainConfig | None" = None
     best_epoch: int | None = None
     layer_specs: tuple[LayerSpec, ...] = field(init=False)
-    code: int = field(init=False)
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.widths = tuple(self.widths)
         self.layer_specs = _layer_specs(self.architecture, self.widths)
-        self.code = [spec.activation for spec in self.layer_specs].index("linear")
         self.params, self.weights, self.biases = _views(self.layer_specs, self.params)
 
     @property
@@ -225,16 +222,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _layers(model: MlpModel, a: np.ndarray, outputs: list | None = None) -> np.ndarray:
     """Scores, shape (rows, 1), for input rows a; layer i writes into outputs[i] when
-    given. Every layer but the code and the output is relu; the output is sigmoid."""
-    last = len(model.weights) - 1
-    for i, (w, b, out) in enumerate(zip(model.weights, model.biases, outputs or repeat(None))):
-        a = np.matmul(a, w.T, out=out)
-        if b is not None:
-            a += b
-        if i == last:
-            _sigmoid(a)
-        elif i != model.code:
+    given. Each layer applies the activation its spec records: relu, sigmoid or linear."""
+    for i, spec in enumerate(model.layer_specs):
+        a = np.matmul(a, model.weights[i].T, out=None if outputs is None else outputs[i])
+        if spec.has_bias:
+            a += model.biases[i]
+        if spec.activation == "relu":
             np.maximum(a, 0.0, out=a)
+        elif spec.activation == "sigmoid":
+            _sigmoid(a)
     return a
 
 
@@ -337,10 +333,10 @@ def loss_and_gradients(
 ) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its reverse-mode gradient, flat like `model.params`.
 
-    With a workspace the gradient is its `grad`, overwritten by the next call
-    that uses it; without one it belongs to the caller. The backward pass
-    overwrites each layer's activations with that layer's delta, so after the
-    call the workspace's buffers hold deltas, not activations.
+    Each layer applies its spec's activation; backward, each relu layer's delta is masked
+    by its output. With a workspace the gradient is its `grad`, overwritten by the next
+    call that uses it; without one it belongs to the caller. Each layer's delta overwrites
+    its activations, so afterwards the workspace's buffers hold deltas, not activations.
     """
     batch = _check_batch(model, batch)
     y = np.asarray(labels, dtype=float)
@@ -365,15 +361,14 @@ def loss_and_gradients(
         if i == 0:
             break
         # A relu mask is taken from layer i - 1's output before its delta overwrites it.
-        below = acts[i]
-        relu_mask = None
-        if i - 1 != model.code:
+        below, relu = acts[i], model.layer_specs[i - 1].activation == "relu"
+        if relu:
             relu_mask = np.greater(below, 0.0, out=mask[: below.size].reshape(below.shape))
         if delta.shape[1] == 1:
             np.multiply(delta, model.weights[i], out=below)  # a k = 1 product, exactly
         else:
             np.matmul(delta, model.weights[i], out=below)
-        if relu_mask is not None:
+        if relu:
             below *= relu_mask  # a bool mask multiplies exactly, as 1.0 and 0.0
         delta = below
     return loss, workspace.grad
@@ -496,7 +491,7 @@ def save_model(model: MlpModel, path: str) -> None:
         "weights": [w.tolist() for w in model.weights],
         "biases": [None if b is None else b.tolist() for b in model.biases],
     }
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, _json_text(payload))
 
 
 # Old training_config entries (the update rule, the Adam constants), loaded only at these values.
@@ -538,11 +533,13 @@ def load_model(path: str) -> MlpModel:
         # The decoder of nonlinear_full mirrors its encoder; the output layer is never given.
         widths = [spec.get("width") for spec in specs]
         widths = widths[: len(widths) // 2] if architecture == "nonlinear_full" else widths[:-1]
+        config = _load_training_config(payload.get("training_config"))
         best_epoch = payload.get("best_epoch")
-        # A JSON true or false is not an integer.
-        if best_epoch is not None and (type(best_epoch) is not int or best_epoch < 0):
-            raise ValueError(f"best_epoch must be an integer >= 0 or null, got {best_epoch!r}")
-        model = MlpModel(architecture, widths, params, best_epoch=best_epoch)
+        epochs = np.inf if config is None else config.max_epochs
+        # A JSON true or false is not an integer; a recorded run numbers its epochs from 0.
+        if best_epoch is not None and (type(best_epoch) is not int or not 0 <= best_epoch < epochs):
+            raise ValueError(f"best_epoch must be null or in [0, {epochs}), got {best_epoch!r}")
+        model = MlpModel(architecture, widths, params, config, best_epoch)
         # Every entry save_model writes for the rebuilt model, compared as JSON text so that
         # a 1 where true belongs differs too; training_config may hold Adam-era entries.
         for key, value in _recorded_entries(model).items():
@@ -555,7 +552,6 @@ def load_model(path: str) -> MlpModel:
             found, needed = ([None if x is None else x.shape for x in xs] for xs in (layer, views))
             if found != needed:
                 raise ValueError(f"layer {i} weight and bias have shapes {found}, not {needed}")
-        model.training_config = _load_training_config(payload["training_config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model

@@ -239,10 +239,15 @@ def det_partial_transpose(rho: DensityMatrix) -> float:
     return float(_det_pt_of_matrices(rho.matrix[None, :, :])[0])
 
 
+def _ppt_labels(det_pt: np.ndarray) -> np.ndarray:
+    """The one label rule, elementwise: entangled iff det of the partial transpose is < 0."""
+    return det_pt < 0.0
+
+
 def is_entangled(rho: DensityMatrix) -> EntanglementLabel:
-    """Label a state entangled iff det of its partial transpose is negative."""
+    """Label a state entangled iff det of its partial transpose is negative (`_ppt_labels`)."""
     det = det_partial_transpose(rho)
-    return EntanglementLabel(entangled=det < 0.0, det_pt=det)
+    return EntanglementLabel(entangled=bool(_ppt_labels(det)), det_pt=det)
 
 
 def min_eigenvalue_pt(rho: DensityMatrix) -> float:

@@ -20,6 +20,7 @@ from entwitness.nn import (
     MlpModel,
     TrainConfig,
     TrainingDivergedError,
+    Workspace,
     code_weights,
     forward,
     load_model,
@@ -73,6 +74,17 @@ def read_bytes(path):
 
 def arrays(model):
     return [a for a in model.weights + model.biases if a is not None]
+
+
+def architecture_models():
+    """Models of each architecture: small and default widths, with and without hidden layers."""
+    return (
+        model_new("nonlinear_full", 0, hidden=(16, 8, 4)),
+        model_new("linear_code", 0, m=4, hidden=(7,)),
+        model_new("linear_code", 0, m=2, hidden=()),
+        model_new("nonlinear_full", 0),
+        model_new("linear_code", 0, m=3),
+    )
 
 
 def toy_task(n=1000, margin=0.05, seed=0):
@@ -132,21 +144,36 @@ class TestModelNew:
             return LayerSpec(width, "relu")
 
         output = LayerSpec(1, "sigmoid")
-        full = model_new("nonlinear_full", 0, hidden=(16, 8, 4))
+        built = architecture_models()
+        full, linear, bare = built[:3]
         assert full.layer_specs == (
             relu(16), relu(8), LayerSpec(4, "linear"), relu(8), relu(16), output
         )
-        linear = model_new("linear_code", 0, m=4, hidden=(7,))
         assert linear.layer_specs == (LayerSpec(4, "linear", has_bias=False), relu(7), output)
-        bare = model_new("linear_code", 0, m=2, hidden=())
         assert bare.layer_specs == (LayerSpec(2, "linear", has_bias=False), output)
-        # `code` is the index of the one linear layer, for the default widths too.
-        defaults = model_new("nonlinear_full", 0), model_new("linear_code", 0, m=3)
-        built = (full, linear, bare, *defaults)
-        assert [model.code for model in built] == [2, 0, 0, 2, 0]
-        for model in built:
+        # One linear layer, the code, at index 2 of nonlinear_full and 0 of linear_code, for
+        # the default widths too; the last layer alone is sigmoid, and every other is relu.
+        for model, code in zip(built, [2, 0, 0, 2, 0]):
             activations = [spec.activation for spec in model.layer_specs]
-            assert activations.count("linear") == 1 and activations[model.code] == "linear"
+            assert activations.count("linear") == 1 and activations[code] == "linear"
+            assert activations[-1] == "sigmoid"
+            assert set(activations[:code] + activations[code + 1 : -1]) <= {"relu"}
+
+    def test_each_layer_applies_its_spec_activation(self):
+        """Run into a workspace, each layer's buffer holds what its spec's activation gives:
+        no negative entry under relu, some under the linear code, scores in [0, 1]."""
+        batch = np.random.default_rng(3).uniform(-1, 1, (64, 15))
+        for model in architecture_models():
+            outputs = Workspace(model, len(batch)).buffers(len(batch))[0]
+            nn._layers(model, batch, outputs)
+            for spec, out in zip(model.layer_specs, outputs, strict=True):
+                if spec.activation == "relu":
+                    assert out.min() >= 0.0 and out.max() > 0.0
+                elif spec.activation == "linear":
+                    assert out.min() < 0.0
+                else:
+                    assert spec.activation == "sigmoid"
+                    assert 0.0 <= out.min() and out.max() <= 1.0
 
     @pytest.mark.parametrize(
         "architecture, m, hidden",
@@ -759,6 +786,35 @@ class TestModelSerialization:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         with pytest.raises(ValueError, match=re.escape(path)):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "config, best_epoch",
+        [(TrainConfig(max_epochs=2), 1), (None, 10**6)],
+        ids=["max_epochs-1", "no-training_config"],
+    )
+    def test_best_epoch_loads(self, tmp_path, config, best_epoch):
+        """The last epoch of a recorded run loads; without a training_config any
+        best_epoch >= 0 does."""
+        path = str(tmp_path / "model.json")
+        model = dataclasses.replace(
+            model_new("linear_code", 0, m=3), training_config=config, best_epoch=best_epoch
+        )
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.best_epoch == best_epoch and loaded.training_config == config
+
+    @pytest.mark.parametrize("best_epoch", [2, 999])
+    def test_best_epoch_past_recorded_run_rejected(self, tmp_path, best_epoch):
+        """A run of max_epochs epochs numbers them 0..max_epochs - 1."""
+        path = str(tmp_path / "model.json")
+        model = dataclasses.replace(
+            model_new("linear_code", 0, m=3),
+            training_config=TrainConfig(max_epochs=2),
+            best_epoch=best_epoch,
+        )
+        save_model(model, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: best_epoch must be "):
             load_model(path)
 
     @pytest.mark.parametrize("width", [10**15, 10**6])
