@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         if os.path.isdir(path):
             parser.error(f"argument --out: {path!r} is a directory")
     if args.command == "sweep" and len(args.sizes) != 3:
-        parser.error("--sizes needs three comma-separated counts")
+        parser.error("argument --sizes: needs three comma-separated counts")
     # Each rule is checked by its owner, before any data is read.
     checks = {
         "train": {

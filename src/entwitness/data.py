@@ -1,15 +1,18 @@
 """Reproducible generation, splitting and persistence of labeled state corpora.
 
-A dataset is a flat table of feature rows (the 15 Pauli expectations), boolean
-entanglement labels, and the determinant values the labels came from, plus a
-manifest that pins everything needed to regenerate it bit-identically.
+A dataset is a flat table of feature rows (the 15 Pauli expectations) and
+the determinant of each state's partial transpose, plus a manifest that pins
+everything needed to regenerate it bit-identically. Its boolean entanglement
+labels follow from the determinants by the PPT rule (`quantum._ppt_labels`).
 
-On disk a dataset is a CSV file, the format, with two sidecars: the manifest
-(`<path>.manifest.json`), which also gives the row count, and a binary copy of
-the arrays (`<path>.arrays.npy`) keyed by the SHA-256 of the CSV bytes. `load`
-takes the arrays from the binary copy only when it belongs to exactly those
-bytes, and otherwise converts the CSV's cells with float() in blocks of lines,
-whatever their ends, so deleting the binary copy only costs time.
+On disk a dataset is a CSV file, the format, which also writes each label, with
+two sidecars: the manifest (`<path>.manifest.json`), which also gives the row
+count, and a binary copy of the features and determinants
+(`<path>.arrays.npy`) keyed by the SHA-256 of the CSV bytes. `load` takes the
+arrays from the binary copy only when it belongs to exactly those bytes, and
+otherwise converts the CSV's cells with float() in blocks of lines, whatever
+their ends, so deleting the binary copy only costs time. A binary copy with
+other fields, such as a `labels` field after these two, is never used.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -80,10 +83,15 @@ def derived_seed(root_seed: int, *stream: int) -> int:
 
 @dataclass(eq=False)
 class Dataset:
+    """Feature rows and their det_pt values; `labels` is derived from det_pt."""
+
     features: np.ndarray  # (n, 15) float64
-    labels: np.ndarray  # (n,) bool, True = entangled
     det_pt: np.ndarray  # (n,) float64
     manifest: dict
+    labels: np.ndarray = field(init=False)  # (n,) bool, True = entangled
+
+    def __post_init__(self) -> None:
+        self.labels = quantum._ppt_labels(self.det_pt)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -91,19 +99,9 @@ class Dataset:
     def equals(self, other: "Dataset") -> bool:
         return (
             np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.det_pt, other.det_pt)
             and self.manifest == other.manifest
         )
-
-
-def _check_invariants(ds: Dataset, path: str) -> None:
-    count = ds.manifest["count"]
-    if count != len(ds):
-        raise DatasetIntegrityError(f"{path}: manifest count {count} != {len(ds)} rows")
-    bad = np.flatnonzero(ds.labels != quantum._ppt_labels(ds.det_pt)) + 2
-    if bad.size:  # numbered as CSV file lines, the header being line 1
-        raise DatasetIntegrityError(f"{path}: row {bad[0]}: label inconsistent with det_pt sign")
 
 
 def generate(
@@ -139,23 +137,22 @@ def generate(
         features[pos : pos + k] = gammas
         det_pt[pos : pos + k] = quantum._det_pt_of_matrices(rhos)
         pos += k
-    labels = quantum._ppt_labels(det_pt)
-
+    ds = Dataset(features, det_pt, {})
     if balance:
-        keep = _balance_indices(labels, seed)
-        features, labels, det_pt = features[keep], labels[keep], det_pt[keep]
+        keep = _balance_indices(ds.labels, seed)
+        ds = Dataset(features[keep], det_pt[keep], {})
 
-    manifest = {
+    ds.manifest = {
         "seed": int(seed),
         "ensemble": "ginibre_rank4" if rank == 4 else "ginibre_rank_k",
         "rank": int(rank),
         "symmetry": symmetry,
-        "count": int(labels.size),
+        "count": len(ds),
         "requested_count": int(count),
         "balanced": bool(balance),
-        "separable_fraction": float(np.mean(~labels)),
+        "separable_fraction": float(np.mean(~ds.labels)),
     }
-    return Dataset(features, labels, det_pt, manifest)
+    return ds
 
 
 def _balance_indices(labels: np.ndarray, seed: int) -> np.ndarray:
@@ -226,7 +223,7 @@ def split(
                 "separable_fraction": float(np.mean(~ds.labels[idx])),
             }
         )
-        parts.append(Dataset(ds.features[idx], ds.labels[idx], ds.det_pt[idx], manifest))
+        parts.append(Dataset(ds.features[idx], ds.det_pt[idx], manifest))
     return tuple(parts)
 
 
@@ -297,28 +294,24 @@ def _arrays_header(descr: list[tuple[str, str, tuple[int, ...]]]) -> bytes:
 def _arrays_descr(rows: int) -> list[tuple[str, str, tuple[int, ...]]]:
     """The fields of the binary sidecar of a `rows`-row dataset, in file order.
 
-    The CSV digest comes first, so a stale sidecar is told from its first bytes;
-    labels come last, so the float fields stay 8-byte aligned.
+    The CSV digest comes first, so a stale sidecar is told from its first bytes.
     """
-    f8, b1 = np.dtype(np.float64).str, np.dtype(np.bool_).str
-    return [
-        ("sha256", "|u1", (32,)),
-        ("features", f8, (rows, 15)),
-        ("det_pt", f8, (rows,)),
-        ("labels", b1, (rows,)),
-    ]
+    f8 = np.dtype(np.float64).str
+    return [("sha256", "|u1", (32,)), ("features", f8, (rows, 15)), ("det_pt", f8, (rows,))]
 
 
 def save(ds: Dataset, path: str) -> None:
     """Write the dataset as CSV plus its two sidecars, each file atomically.
 
-    The manifest goes to `manifest_path(path)`. The binary sidecar at
-    `arrays_path(path)` holds the SHA-256 of the CSV bytes and the three arrays
-    as one .npy record; its bytes depend only on the dataset (and the
-    platform's byte order). It is written last, so a save cut short leaves at
-    worst a sidecar of other bytes, which `load` ignores.
+    The manifest, whose `count` must be the number of rows, goes to
+    `manifest_path(path)`. The binary sidecar at `arrays_path(path)` holds the
+    SHA-256 of the CSV bytes, the features and det_pt as one .npy record; its
+    bytes depend only on the dataset (and the platform's byte order). It is
+    written last, so a save cut short leaves at worst a sidecar of other bytes,
+    which `load` ignores.
     """
-    _check_invariants(ds, path)
+    if (count := ds.manifest["count"]) != len(ds):
+        raise DatasetIntegrityError(f"{path}: manifest count {count} != {len(ds)} rows")
     digest = hashlib.sha256()
     _write_atomic(path, _csv_blocks(ds, digest))
     _write_atomic(manifest_path(path), _json_text(ds.manifest))
@@ -328,7 +321,6 @@ def save(ds: Dataset, path: str) -> None:
             _arrays_header(_arrays_descr(len(ds))) + digest.digest(),
             np.ascontiguousarray(ds.features, dtype=np.float64),
             np.ascontiguousarray(ds.det_pt, dtype=np.float64),
-            np.ascontiguousarray(ds.labels, dtype=np.bool_),
         ),
     )
 
@@ -344,17 +336,16 @@ def _all_finite(array: np.ndarray) -> bool:
     return all(np.isfinite(array[i : i + _CHUNK]).all() for i in range(0, len(array), _CHUNK))
 
 
-def _read_arrays(path: str, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Features, labels and det_pt from the binary sidecar, or None unless it
-    is the one `save` writes for the CSV file at `path` holding the manifest's
-    `rows` rows.
+def _read_arrays(path: str, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Features and det_pt from the binary sidecar, or None unless it is the
+    one `save` writes for the CSV file at `path` holding the manifest's `rows`
+    rows.
 
     The CSV file is hashed only once the sidecar's .npy header matches `rows`,
     and its SHA-256 is compared with the sidecar's before any array is
     allocated; the arrays are then read straight into place. The values must
-    be finite, with label bytes of 0 or 1 that agree with the sign of det_pt,
-    so that the sidecar can neither change what `load` returns nor make it
-    raise an error the CSV file would not.
+    be finite, so that the sidecar can neither change what `load` returns nor
+    make it raise an error the CSV file would not.
     """
     header = _arrays_header(_arrays_descr(rows))
     try:
@@ -369,23 +360,16 @@ def _read_arrays(path: str, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
                 return None
             features = np.empty((rows, 15))
             det_pt = np.empty(rows)
-            labels = np.empty(rows, dtype=bool)
-            for array in (features, det_pt, labels):
+            for array in (features, det_pt):
                 if handle.readinto(array) != array.nbytes:
                     return None
             if handle.read(1):
                 return None
     except OSError:
         return None
-    # Comparing the label bytes with a bool array checks both that they are 0
-    # or 1 and that they match the sign of det_pt.
-    if not (
-        _all_finite(features)
-        and _all_finite(det_pt)
-        and np.array_equal(labels.view(np.uint8), quantum._ppt_labels(det_pt))
-    ):
+    if not (_all_finite(features) and _all_finite(det_pt)):
         return None
-    return features, labels, det_pt
+    return features, det_pt
 
 
 def _row_values(path: str, lineno: int, line: str) -> list[float]:
@@ -422,14 +406,15 @@ def _parse_block(path: str, first: int, lines: list[str]) -> np.ndarray:
     return block
 
 
-def _parse_body(path: str, handle: TextIO, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features, labels and det_pt of the `count` lines after the header.
+def _parse_body(path: str, handle: TextIO, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Features and det_pt of the `count` lines after the header.
 
     The arrays are sized from `count` only if the file holds 33 bytes per row
     (17 one-character fields, 16 commas), and filled from `_PARSE_LINES`-line
     blocks read through `itertools.islice` from the text handle, whose
     universal newlines end a line at "\n", "\r\n" or a lone "\r". Lines past
-    the arrays are checked one by one and counted; a count mismatch raises last.
+    the arrays are checked one by one and counted. A count mismatch raises
+    after every line is read, and a label the PPT rule contradicts after that.
     """
     rows = count if count * 33 <= os.fstat(handle.fileno()).st_size else 0
     features = np.empty((rows, 15))
@@ -450,7 +435,10 @@ def _parse_body(path: str, handle: TextIO, count: int) -> tuple[np.ndarray, np.n
         _row_values(path, n + 1, line)
     if n != count:
         raise DatasetIntegrityError(f"{path}: manifest count {count} != {n} rows")
-    return features, labels, det_pt
+    bad = np.flatnonzero(labels != quantum._ppt_labels(det_pt)) + 2
+    if bad.size:  # numbered as CSV file lines, the header being line 1
+        raise DatasetIntegrityError(f"{path}: row {bad[0]}: label inconsistent with det_pt sign")
+    return features, det_pt
 
 
 def load(path: str) -> Dataset:
@@ -481,6 +469,4 @@ def load(path: str) -> Dataset:
             raise DatasetFormatError(f"{path}: unexpected header {header!r}")
         columns = _read_arrays(path, count) or _parse_body(path, handle, count)
 
-    ds = Dataset(*columns, manifest)
-    _check_invariants(ds, path)
-    return ds
+    return Dataset(*columns, manifest)

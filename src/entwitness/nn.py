@@ -211,13 +211,10 @@ def model_new(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function of z, in place; each sign takes the branch that cannot overflow."""
-    pos = z >= 0
-    neg = ~pos
-    ez = np.exp(z[neg])
-    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    z[neg] = ez / (1.0 + ez)
-    return z
+    """Logistic function of z, in place: 1 / (1 + e) for z >= 0 and e / (1 + e)
+    below, with e = exp(-|z|), which cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
 
 
 def _layers(model: MlpModel, a: np.ndarray, outputs: list | None = None) -> np.ndarray:

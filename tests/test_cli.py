@@ -486,6 +486,25 @@ class TestFailFast:
         assert "argument --split: fractions must be finite" in capsys.readouterr().err
         assert os.listdir(out_dir) == []
 
+    def test_unparsable_split_named(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run(["train", "--data", "missing.csv", "--split", "0.8,x,0.1",
+                 "--out", str(out_dir / "m.json")])
+        assert err.value.code == 2
+        assert "argument --split: could not convert string to float: 'x'" in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
+
+    def test_two_sizes_named(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", "--m", "1", "--sizes", "100,50", "--out", str(out_dir / "s.csv")])
+        assert err.value.code == 2
+        assert "argument --sizes: needs three comma-separated counts" in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
+
 
 # Each command line, the config file it writes, and that file's exact text.
 CONFIG_CASES = [

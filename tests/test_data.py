@@ -213,6 +213,14 @@ def _set_cell(row, col, text):
     return edit
 
 
+def _flip_label(row):
+    def edit(lines):
+        cells = lines[row].split(",")
+        _set_cell(row, 15, "0" if cells[15] == "1" else "1")(lines)
+
+    return edit
+
+
 def _blank_line_after_lone_cr(lines):
     # Text mode splits at the lone carriage return, so the file keeps as many
     # newlines as loadtxt returns rows although it holds a blank line.
@@ -357,6 +365,26 @@ MALFORMED = [
         "{path}: manifest count 20 != 19 rows",
         id="last-row-removed",
     ),
+    # A label the PPT rule contradicts is reported after every format error
+    # and after a count mismatch.
+    pytest.param(
+        _flip_label(3),
+        DatasetIntegrityError,
+        "{path}: row 4: label inconsistent with det_pt sign",
+        id="flipped-label",
+    ),
+    pytest.param(
+        lambda lines: (_flip_label(3)(lines), _set_cell(9, 2, "x")(lines)),
+        DatasetFormatError,
+        "{path}: row 10: could not convert string to float: 'x'",
+        id="flipped-label-before-bad-cell",
+    ),
+    pytest.param(
+        lambda lines: (_flip_label(3)(lines), lines.pop()),
+        DatasetIntegrityError,
+        "{path}: manifest count 20 != 19 rows",
+        id="flipped-label-and-last-row-removed",
+    ),
 ]
 
 class TestSaveLoad:
@@ -423,6 +451,28 @@ class TestSaveLoad:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="row 6"):
             load(path)
+
+    def test_save_refuses_wrong_manifest_count(self, tmp_path):
+        ds = generate(100, seed=1)
+        ds.manifest["count"] = 5
+        path = str(tmp_path / "d.csv")
+        with pytest.raises(DatasetIntegrityError) as err:
+            save(ds, path)
+        assert str(err.value) == f"{path}: manifest count 5 != 100 rows"
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupted_write_leaves_target_unchanged(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"before\n")
+
+        def chunks():
+            yield "partial\n"
+            raise RuntimeError("cut")
+
+        with pytest.raises(RuntimeError, match="^cut$"):
+            data._write_atomic(str(path), chunks())
+        assert os.listdir(tmp_path) == ["d.csv"]  # no .tmp-*~ file left
+        assert path.read_bytes() == b"before\n"
 
     def test_inconsistent_label_rejected(self, tmp_path):
         ds = generate(20, seed=1)
@@ -750,14 +800,15 @@ class TestScan:
                         data._parse_body(str(path), handle, rows)
                     continue
                 columns = data._parse_body(str(path), handle, rows)
-            assert columns[1].tolist() == [False, True][:lines]
+            assert quantum._ppt_labels(columns[1]).tolist() == [False, True][:lines]
 
 
 def _sidecar(digest, ds, **fields):
     """The bytes of a sidecar-style .npy record: its header, `digest`, then the
     bytes of each field, by default the arrays of `ds` in the order save writes
-    them. A keyword replaces a field's array, or with None drops the field."""
-    arrays = {"features": ds.features, "det_pt": ds.det_pt, "labels": ds.labels, **fields}
+    them. A keyword replaces a field's array, adds one after them, or with None
+    drops the field."""
+    arrays = {"features": ds.features, "det_pt": ds.det_pt, **fields}
     arrays = {name: a for name, a in arrays.items() if a is not None}
     descr = [("sha256", "|u1", (32,))] + [(name, a.dtype.str, a.shape) for name, a in arrays.items()]
     return data._arrays_header(descr) + digest + b"".join(a.tobytes() for a in arrays.values())
@@ -789,20 +840,16 @@ BAD_SIDECARS = {
     "missing-key": lambda ds, digest, good: _sidecar(digest, ds, det_pt=None),
     "float32-features": lambda ds, digest, good: _sidecar(
         digest, ds, features=ds.features.astype(np.float32)),
-    "int8-labels": lambda ds, digest, good: _sidecar(digest, ds, labels=ds.labels.astype(np.int8)),
     "14-columns": lambda ds, digest, good: _sidecar(digest, ds, features=ds.features[:, :14]),
     "one-row-short": lambda ds, digest, good: _sidecar(
-        digest, ds, features=ds.features[:-1], det_pt=ds.det_pt[:-1], labels=ds.labels[:-1]),
+        digest, ds, features=ds.features[:-1], det_pt=ds.det_pt[:-1]),
     "object-features": lambda ds, digest, good: _sidecar(
         digest, ds, features=ds.features.astype(object)),
     "nan-feature": lambda ds, digest, good: _sidecar(
         digest, ds, features=_edited(ds.features, (5, 3), np.nan)),
-    "inf-det": lambda ds, digest, good: _sidecar(
-        digest, ds, det_pt=_edited(ds.det_pt, -1, -np.inf), labels=_edited(ds.labels, -1, True)),
-    "label-byte-2": lambda ds, digest, good: _sidecar(
-        digest, ds, labels=_edited(ds.labels.view(np.uint8), 4, 2).view(np.bool_)),
-    "label-against-det-sign": lambda ds, digest, good: _sidecar(
-        digest, ds, labels=_edited(ds.labels, 4, not ds.labels[4])),
+    "inf-det": lambda ds, digest, good: _sidecar(digest, ds, det_pt=_edited(ds.det_pt, -1, -np.inf)),
+    # The four-field layout save wrote while datasets stored their labels.
+    "parent-format": lambda ds, digest, good: _sidecar(digest, ds, labels=ds.labels),
 }
 
 
@@ -839,10 +886,9 @@ class TestArraysSidecar:
         digest = hashlib.sha256(Path(path).read_bytes()).digest()
         record = np.load(arrays_path(path), allow_pickle=False)
         assert record.shape == ()
-        assert record.dtype.names == ("sha256", "features", "det_pt", "labels")
+        assert record.dtype.names == ("sha256", "features", "det_pt")
         assert record["sha256"].tobytes() == digest
-        assert same_bytes(Dataset(
-            record["features"], record["labels"], record["det_pt"], ds.manifest), ds, slice(None))
+        assert same_bytes(Dataset(record["features"], record["det_pt"], ds.manifest), ds, slice(None))
         # The helper that builds the bad sidecars below builds this one exactly.
         assert _sidecar(digest, ds) == Path(arrays_path(path)).read_bytes()
 

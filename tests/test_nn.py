@@ -231,6 +231,22 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros(15))
 
+    def test_sigmoid_equals_two_branch_form(self):
+        """The one-formula sigmoid gives the bits of the form that takes exp(-z)
+        for z >= 0 and exp(z) / (1 + exp(z)) below, and keeps NaN a NaN."""
+        z = np.concatenate([
+            np.random.default_rng(0).standard_normal(10**6) * 30,
+            [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 37.0, -745.2, 800.0, -800.0, np.inf, -np.inf],
+        ])
+        pos, neg = z >= 0, z < 0
+        expected = np.empty_like(z)
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        expected[neg] = np.exp(z[neg]) / (1.0 + np.exp(z[neg]))
+        out = z.copy()
+        assert nn._sigmoid(out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert np.isnan(nn._sigmoid(np.array([np.nan, -np.nan]))).all()
+
 
 #: Row counts around the block edges, plus the validation sizes of the benchmark
 #: (4000) and of the acceptance suite (25000).
@@ -486,6 +502,13 @@ class TestTrain:
         one_set = rows * sum(widths) * 8 + rows * max(widths)
         adam_slice = min(model.params.size, nn._ADAM_SLICE) * 8
         assert peak < 5 * model.params.nbytes + adam_slice + one_set + 256 * 1024
+
+    def test_empty_validation_split_rejected(self):
+        train_ds, val_ds = toy_task()
+        empty = SimpleNamespace(features=val_ds.features[:0], labels=val_ds.labels[:0])
+        with pytest.raises(ValueError) as err:
+            train(model_new("linear_code", 0, m=1), train_ds, empty, TrainConfig(max_epochs=1))
+        assert str(err.value) == "training and validation datasets must be non-empty"
 
     def test_toy_separable_task_reaches_perfect_accuracy(self):
         train_ds, val_ds = toy_task()
@@ -787,6 +810,17 @@ class TestModelSerialization:
             json.dump(payload, handle)
         with pytest.raises(ValueError, match=re.escape(path)):
             load_model(path)
+
+    def test_training_config_must_be_an_object(self, tmp_path):
+        path = str(tmp_path / "model.json")
+        save_model(model_new("linear_code", 0, m=1), path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({**payload, "training_config": 5}, handle)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: training_config must be a JSON object or null"
 
     @pytest.mark.parametrize(
         "config, best_epoch",

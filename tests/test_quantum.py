@@ -414,6 +414,14 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             DensityMatrix(mat)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError) as err:
+            DensityMatrix(np.eye(3) / 3)
+        assert str(err.value) == "density matrix must be 4x4, got shape (3, 3)"
+        with pytest.raises(ValueError) as err:
+            partial_transpose(np.eye(3))
+        assert str(err.value) == "expected a 4x4 matrix, got shape (3, 3)"
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4, dtype=complex))

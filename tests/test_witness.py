@@ -31,7 +31,8 @@ def scored_dataset(separable_scores, entangled_scores):
     features = np.zeros((scores.size, 15))
     features[:, 0] = logit(scores)
     det = np.where(labels, -1.0, 1.0)
-    ds = Dataset(features, labels, det, {"count": scores.size})
+    ds = Dataset(features, det, {"count": scores.size})
+    assert np.array_equal(ds.labels, labels)
     model = model_new("linear_code", 0, m=1, hidden=())
     model.params[:] = 0.0
     model.weights[0][0, 0] = model.weights[1][0, 0] = 1.0
@@ -102,7 +103,7 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         model, ds = scored_dataset(np.array([0.4]), np.array([0.6]))
-        empty = Dataset(ds.features[:0], ds.labels[:0], ds.det_pt[:0], {"count": 0})
+        empty = Dataset(ds.features[:0], ds.det_pt[:0], {"count": 0})
         with pytest.raises(ValueError):
             evaluate(model, empty, 0.5)
 
